@@ -6,7 +6,8 @@ variables > config file > defaults), then writes a manifest pinning the
 resolved config and seed; rerunning any command with --config pointed at its
 manifest reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 usage or config/parse error, 3 partial sweep failure.
+Exit codes: 0 success, 1 I/O error, 2 usage or config/parse error, 3 partial
+sweep failure.
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ from .config import (
     validate_config,
 )
 from .errors import DruRegError, InfeasibleError
-from .harness import histogram_data, run_sweep, summarize
+from .harness import _derive_seed, histogram_data, run_sweep, summarize
 from .losses import LossSpec, MetaInfo
 from .nn import init_mlp, mlp_architecture, one_hot_encode, train
 from .robustness import DiscreteDistribution, sup_oracle_lp, worst_case_dru, worst_case_ru
 from .sampling import Dataset, biased_sample, generate_population
-
-
-def _derive_seed(*parts) -> int:
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
 def _resolve_common(args) -> tuple[dict, Path, int, int]:

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigError
 from .harness import METHOD_KINDS, SweepConfig
 from .nn import TrainConfig
-from .sampling import DEFAULT_COVARIATES, DEFAULT_TARGET_SHARES, BiasSpec, default_population_spec
+from .sampling import (
+    DEFAULT_COVARIATES,
+    DEFAULT_EFFECT_SCALE,
+    DEFAULT_TARGET_SHARES,
+    BiasSpec,
+    default_population_spec,
+)
 
 DEFAULT_CONFIG = {
     "seed": 20220925,
@@ -23,35 +30,23 @@ DEFAULT_CONFIG = {
         "n_targets": 5,
         "covariates": [list(pair) for pair in DEFAULT_COVARIATES],
         "base_shares": list(DEFAULT_TARGET_SHARES),
-        "effect_scale": 0.2,
+        "effect_scale": DEFAULT_EFFECT_SCALE,
     },
     "bias": {
         "gamma_true": 2.0,
         "d_true": [1, -1, 1, -1, -1],
         "n_sample": 2000,
     },
-    "train": {
-        "max_epochs": 20,
-        "patience": 3,
-        "batch_size": 12,
-        "learning_rate": 0.01,
-        "validation_fraction": 0.1,
-        "improvement_tolerance": 1e-4,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_epsilon": 1e-8,
-    },
+    # the training seed is derived per fit
+    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
     "methods": list(METHOD_KINDS),
     "covariate_subsets": [
         ["gender", "age", "area", "education", "employment", "past_vote"],
         ["gender", "age"],
     ],
-    "sweep": {
-        "n_replicates": 50,
-        "prev_sample_size": 20_000,
-        "meta_min_cell_rows": 5,
-        "hidden_width": 4,
-    },
+    # jobs is an execution knob, kept out of the scientific config
+    "sweep": {"n_replicates": 50,
+              **{k: v for k, v in asdict(SweepConfig()).items() if k != "jobs"}},
     "oracle": {
         "n_instances": 100,
         "max_points": 20,
@@ -69,36 +64,28 @@ DEFAULT_CONFIG = {
     },
 }
 
-_SCALAR_TYPES = {
-    ("seed",): int,
-    ("population", "n_population"): int,
-    ("population", "n_targets"): int,
-    ("population", "effect_scale"): (int, float),
-    ("bias", "n_sample"): int,
-    ("train", "max_epochs"): int,
-    ("train", "patience"): int,
-    ("train", "batch_size"): int,
-    ("train", "learning_rate"): (int, float),
-    ("train", "validation_fraction"): (int, float),
-    ("train", "improvement_tolerance"): (int, float),
-    ("train", "adam_beta1"): (int, float),
-    ("train", "adam_beta2"): (int, float),
-    ("train", "adam_epsilon"): (int, float),
-    ("sweep", "n_replicates"): int,
-    ("sweep", "prev_sample_size"): int,
-    ("sweep", "meta_min_cell_rows"): int,
-    ("sweep", "hidden_width"): int,
-    ("oracle", "n_instances"): int,
-    ("oracle", "max_points"): int,
-    ("oracle", "gamma_low"): (int, float),
-    ("oracle", "gamma_high"): (int, float),
-    ("model", "loss"): str,
-    ("model", "gamma"): (int, float),
-    ("model", "direction"): int,
-    ("model", "pinball_p"): (int, float),
-    ("model", "target"): int,
-    ("model", "hidden_width"): int,
-}
+# Keys that take one value for every target or a list with one per target,
+# with the type each value must have.
+_PER_TARGET_TYPES = {("bias", "gamma_true"): (int, float), ("bias", "d_true"): int}
+
+
+def _scalar_types() -> dict:
+    """Accepted types of every scalar key, read off its default value:
+    int -> int, float -> int or float, str -> str."""
+    leaves = [((key,), value) for key, value in DEFAULT_CONFIG.items()
+              if not isinstance(value, dict)]
+    leaves += [((key, sub), value) for key, section in DEFAULT_CONFIG.items()
+               if isinstance(section, dict) for sub, value in section.items()]
+    return {path: (int, float) if isinstance(value, float) else type(value)
+            for path, value in leaves
+            if isinstance(value, (int, float, str)) and path not in _PER_TARGET_TYPES}
+
+
+_SCALAR_TYPES = _scalar_types()
+
+
+def _has_type(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _merge_section(name: str, given: dict, defaults: dict) -> dict:
@@ -131,8 +118,19 @@ def validate_config(doc: dict) -> dict:
         value = resolved
         for part in path:
             value = value[part]
-        if isinstance(value, bool) or not isinstance(value, types):
+        if not _has_type(value, types):
             raise ConfigError(f"config key {'.'.join(path)} must be {types}, got {value!r}")
+    for (section, key), types in _PER_TARGET_TYPES.items():
+        value = resolved[section][key]
+        if not (_has_type(value, types) or isinstance(value, list)
+                and all(_has_type(v, types) for v in value)):
+            raise ConfigError(f"config key {section}.{key} must be {types} or a list "
+                              f"of them, got {value!r}")
+    model_covariates = resolved["model"]["covariates"]
+    if model_covariates is not None and not (
+            isinstance(model_covariates, list)
+            and all(isinstance(name, str) for name in model_covariates)):
+        raise ConfigError("model.covariates must be null or a list of covariate names")
     covariates = resolved["population"]["covariates"]
     if not isinstance(covariates, list) or not covariates or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -204,10 +202,5 @@ def train_config_from_config(resolved: dict, seed: int = 0) -> TrainConfig:
 
 
 def sweep_config_from_config(resolved: dict, jobs: int) -> SweepConfig:
-    sweep = resolved["sweep"]
-    return SweepConfig(
-        prev_sample_size=sweep["prev_sample_size"],
-        meta_min_cell_rows=sweep["meta_min_cell_rows"],
-        hidden_width=sweep["hidden_width"],
-        jobs=jobs,
-    )
+    sweep = {k: v for k, v in resolved["sweep"].items() if k != "n_replicates"}
+    return SweepConfig(**sweep, jobs=jobs)

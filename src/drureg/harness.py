@@ -237,22 +237,20 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     coverage: list[dict] = []
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
-        cells = sorted(table.fractions)
         cols = population.column_index(subset)
-        counts = [population.level_counts[c] for c in cols]
-        cell_features = one_hot_encode(np.array(cells), counts)
-        sample_feats = [one_hot_encode(samples[t].covariates[:, cols], counts)
+        cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
+        sample_feats = [one_hot_encode(samples[t].covariates[:, cols], table.level_counts)
                         for t in range(n_targets)]
-        seen = [
-            {tuple(int(v) for v in row) for row in np.unique(samples[t].covariates[:, cols], axis=0)}
-            for t in range(n_targets)
-        ]
-        unseen = max(sum(1 for c in cells if c not in seen[t]) for t in range(n_targets))
+        populated = table.fractions > 0
+        unseen = max(
+            np.count_nonzero(populated & (np.bincount(sample.cell_index(subset),
+                                                      minlength=populated.size) == 0))
+            for sample in samples)
         coverage.append({
             "replicate": replicate,
             "subset": "+".join(subset),
-            "cells": len(cells),
-            "max_unseen_in_training": unseen,
+            "cells": int(np.count_nonzero(populated)),
+            "max_unseen_in_training": int(unseen),
         })
         for method_idx, method in enumerate(methods):
             try:
@@ -270,13 +268,12 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                     else:
                         preds = _fit_network(method.kind, sample_feats[t], y,
                                              cell_features, loss, cfg, sweep_cfg, seed)
-                    estimates = {cell: float(p) for cell, p in zip(cells, preds)}
                     records.append(RunRecord(
                         replicate=replicate,
                         subset=tuple(subset),
                         method=method.kind,
                         target=t,
-                        y_hat=poststratify(estimates, table),
+                        y_hat=poststratify(preds, table),
                         y_true=y_true[t],
                         y_unweighted=y_unweighted[t],
                     ))

@@ -8,48 +8,62 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, ShapeError
 from .sampling import Dataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellTable:
     """Population fractions of the cells of a covariate cross-tabulation.
 
-    Cells are keyed by tuples of level indices in `subset_names` order.
+    `fractions` has one entry per flat cell index over `subset_names` (see
+    Dataset.cell_index), 0 for cells the population never reaches.
     """
 
     subset_names: tuple[str, ...]
-    fractions: dict
+    level_counts: tuple[int, ...]
+    fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for cell, frac in self.fractions.items():
-            if frac < 0.0:
-                raise ConfigError(f"cell {cell} has negative fraction {frac}")
-            total += frac
+        fractions = np.asarray(self.fractions, dtype=float)
+        object.__setattr__(self, "fractions", fractions)
+        n_cells = int(np.prod(self.level_counts))
+        if fractions.shape != (n_cells,):
+            raise ShapeError(f"fractions has shape {fractions.shape}, expected ({n_cells},)")
+        if (fractions < 0.0).any():
+            cell = int(fractions.argmin())
+            raise ConfigError(f"cell {cell} has negative fraction {fractions[cell]}")
+        total = float(fractions.sum())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"cell fractions sum to {total!r}, expected 1")
 
+    def cell_levels(self) -> np.ndarray:
+        """Level indices of every cell, one row per entry of `fractions`."""
+        return np.indices(self.level_counts).reshape(len(self.level_counts), -1).T
+
     def to_csv(self, path) -> None:
+        """The non-empty cells as (flat cell_id, fraction) rows."""
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell_id", "fraction"])
-            for cell in sorted(self.fractions):
-                writer.writerow(["|".join(str(v) for v in cell), repr(float(self.fractions[cell]))])
+            for cell in np.nonzero(self.fractions)[0]:
+                writer.writerow([int(cell), repr(float(self.fractions[cell]))])
 
     @classmethod
-    def from_csv(cls, path, subset_names) -> "CellTable":
-        fractions = {}
+    def from_csv(cls, path, subset_names, level_counts) -> "CellTable":
+        fractions = np.zeros(int(np.prod(level_counts)))
         with Path(path).open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if header != ["cell_id", "fraction"]:
                 raise SchemaError(f"unexpected cell table header {header}")
             for cell_id, frac in reader:
-                cell = tuple(int(v) for v in cell_id.split("|"))
+                cell = int(cell_id)
+                if not 0 <= cell < fractions.size:
+                    raise SchemaError(f"cell_id {cell} outside [0, {fractions.size})")
                 fractions[cell] = float(frac)
-        return cls(subset_names=tuple(subset_names), fractions=fractions)
+        return cls(subset_names=tuple(subset_names), level_counts=tuple(level_counts),
+                   fractions=fractions)
 
 
 def build_cell_table(population: Dataset, covariate_subset) -> CellTable:
@@ -57,22 +71,19 @@ def build_cell_table(population: Dataset, covariate_subset) -> CellTable:
     subset = tuple(covariate_subset)
     if not subset:
         raise SchemaError("covariate subset must be non-empty")
-    cols = population.column_index(subset)
-    counts = tuple(population.level_counts[c] for c in cols)
-    flat = np.ravel_multi_index(population.covariates[:, cols].T, counts)
-    tallies = np.bincount(flat, minlength=int(np.prod(counts)))
-    n = population.n_rows
-    fractions = {}
-    for flat_idx in np.nonzero(tallies)[0]:
-        cell = tuple(int(v) for v in np.unravel_index(flat_idx, counts))
-        fractions[cell] = float(tallies[flat_idx]) / n
-    return CellTable(subset_names=subset, fractions=fractions)
+    counts = tuple(population.level_counts[c] for c in population.column_index(subset))
+    tallies = np.bincount(population.cell_index(subset), minlength=population.n_cells(subset))
+    return CellTable(subset_names=subset, level_counts=counts,
+                     fractions=tallies / population.n_rows)
 
 
 def poststratify(cell_estimates, table: CellTable) -> float:
-    """Population estimate: sum over cells of estimate * population fraction."""
-    missing = [cell for cell in table.fractions if cell not in cell_estimates]
-    if missing:
-        raise SchemaError(f"no estimate for table cells {missing[:5]} "
-                          f"({len(missing)} missing)")
-    return float(sum(cell_estimates[cell] * frac for cell, frac in table.fractions.items()))
+    """Population estimate: sum over cells of estimate * population fraction.
+
+    `cell_estimates` is aligned with `table.fractions`, one entry per flat cell.
+    """
+    estimates = np.asarray(cell_estimates, dtype=float)
+    if estimates.shape != table.fractions.shape:
+        raise ShapeError(f"cell estimates have shape {estimates.shape}, "
+                         f"the table has {table.fractions.size} cells")
+    return float(table.fractions @ estimates)

@@ -103,15 +103,9 @@ def cvar(dist: DiscreteDistribution, level: float) -> float:
         raise ParameterError(f"level must be in (0, 1), got {level}")
     tail = 1.0 - level
     order = np.argsort(-dist.values, kind="stable")
-    acc = 0.0
-    remaining = tail
-    for i in order:
-        take = min(float(dist.probs[i]), remaining)
-        acc += take * float(dist.values[i])
-        remaining -= take
-        if remaining <= 1e-15:
-            break
-    return acc / tail
+    probs = dist.probs[order]
+    take = np.clip(tail - (np.cumsum(probs) - probs), 0.0, probs)
+    return float(take @ dist.values[order]) / tail
 
 
 def _greedy_fill(losses: np.ndarray, probs: np.ndarray, gamma: float,
@@ -123,23 +117,20 @@ def _greedy_fill(losses: np.ndarray, probs: np.ndarray, gamma: float,
     ratios = np.full(losses.shape, g_inv)
     budget = 1.0 - g_inv  # total extra weight available above the floor
     if budget > 0.0:
-        capacity = float(((gamma - g_inv) * probs)[raisable].sum())
+        room = np.where(raisable, (gamma - g_inv) * probs, 0.0)  # extra weight per point
+        capacity = float(room.sum())
         if capacity < budget - _NORM_TOL:
             deficit = (budget - capacity) / (gamma - g_inv)
             raise InfeasibleError(
                 "not enough raisable mass to renormalize the worst case: "
                 f"short by {deficit:.6g} probability mass"
             )
+        # in descending loss order each point takes min(its room, the budget
+        # left over by the higher-loss points)
         order = np.argsort(-losses, kind="stable")
-        for i in order:
-            if not raisable[i]:
-                continue
-            room = (gamma - g_inv) * probs[i]
-            spend = min(room, budget)
-            ratios[i] += spend / probs[i]
-            budget -= spend
-            if budget <= _NORM_TOL:
-                break
+        room = room[order]
+        spend = np.clip(budget - (np.cumsum(room) - room), 0.0, room)
+        ratios[order] += spend / probs[order]
     sup = float((ratios * probs) @ losses)
     return WorstCase(ratios=ratios, sup_value=sup)
 

@@ -33,18 +33,20 @@ DEFAULT_COVARIATES = (
 
 DEFAULT_TARGET_SHARES = (0.35, 0.25, 0.15, 0.12, 0.08)
 
+DEFAULT_EFFECT_SCALE = 0.2
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PopulationSpec:
     """Recipe for one synthetic population.
 
-    cell_means maps each covariate cell (tuple of level indices) to the
-    per-target outcome probabilities; per-cell probabilities must sum to <= 1
-    so they can be read as coalition shares.
+    cell_means is an (n_cells, n_targets) array of per-target outcome
+    probabilities, one row per flat cell index (see Dataset.cell_index); each
+    row must sum to <= 1 so it can be read as coalition shares.
     """
 
     covariate_levels: tuple[tuple[str, int], ...]
-    cell_means: dict
+    cell_means: np.ndarray
     n_population: int
     n_targets: int
     seed: int
@@ -55,19 +57,18 @@ class PopulationSpec:
         for name, count in self.covariate_levels:
             if count < 1:
                 raise ConfigError(f"covariate {name!r} needs at least one level")
-        shape = self.level_counts
-        n_cells = int(np.prod(shape))
-        if len(self.cell_means) != n_cells:
-            raise ConfigError(
-                f"cell_means covers {len(self.cell_means)} cells, expected {n_cells}")
-        for cell, means in self.cell_means.items():
-            if len(means) != self.n_targets:
-                raise ConfigError(f"cell {cell} has {len(means)} means, expected {self.n_targets}")
-            arr = np.asarray(means, dtype=float)
-            if (arr < 0).any() or (arr > 1).any():
-                raise ConfigError(f"cell {cell} has outcome probabilities outside [0, 1]")
-            if arr.sum() > 1.0 + 1e-9:
-                raise ConfigError(f"cell {cell} target shares sum to {arr.sum()} > 1")
+        means = np.asarray(self.cell_means, dtype=float)
+        object.__setattr__(self, "cell_means", means)
+        expected = (int(np.prod(self.level_counts)), self.n_targets)
+        if means.shape != expected:
+            raise ConfigError(f"cell_means has shape {means.shape}, expected {expected}")
+        outside = ((means < 0) | (means > 1)).any(axis=1)
+        if outside.any():
+            raise ConfigError(f"cell {outside.argmax()} has outcome probabilities outside [0, 1]")
+        totals = means.sum(axis=1)
+        if (totals > 1.0 + 1e-9).any():
+            cell = int(totals.argmax())
+            raise ConfigError(f"cell {cell} target shares sum to {totals[cell]} > 1")
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
@@ -77,20 +78,12 @@ class PopulationSpec:
     def level_counts(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.covariate_levels)
 
-    def means_array(self) -> np.ndarray:
-        """Cell means as an array indexed by flat cell index."""
-        shape = self.level_counts
-        out = np.empty((int(np.prod(shape)), self.n_targets))
-        for cell, means in self.cell_means.items():
-            out[int(np.ravel_multi_index(cell, shape))] = means
-        return out
-
 
 def default_population_spec(n_population: int = 100_000, n_targets: int = 5,
                             seed: int = 0,
                             covariate_levels=DEFAULT_COVARIATES,
                             base_shares=DEFAULT_TARGET_SHARES,
-                            effect_scale: float = 0.3) -> PopulationSpec:
+                            effect_scale: float = DEFAULT_EFFECT_SCALE) -> PopulationSpec:
     """Smooth seeded cell means: per-target base shares tilted multiplicatively
     by independent per-covariate-level effects, rescaled so per-cell shares
     keep total mass below 1."""
@@ -102,19 +95,15 @@ def default_population_spec(n_population: int = 100_000, n_targets: int = 5,
     counts = [c for _, c in covariate_levels]
     effects = [rng.uniform(-effect_scale, effect_scale, size=(c, n_targets)) for c in counts]
     cells = np.indices(counts).reshape(len(counts), -1).T
-    cell_means = {}
-    for cell in cells:
-        tilt = np.zeros(n_targets)
-        for j, level in enumerate(cell):
-            tilt += effects[j][level]
-        means = base * np.exp(tilt)
-        total = means.sum()
-        if total > 0.97:
-            means *= 0.97 / total
-        cell_means[tuple(int(v) for v in cell)] = tuple(np.clip(means, 0.005, 0.95))
+    tilt = np.zeros((cells.shape[0], n_targets))
+    for j, effect in enumerate(effects):
+        tilt += effect[cells[:, j]]
+    means = base * np.exp(tilt)
+    total = means.sum(axis=1, keepdims=True)
+    means = np.where(total > 0.97, means * (0.97 / total), means)
     return PopulationSpec(
         covariate_levels=covariate_levels,
-        cell_means=cell_means,
+        cell_means=np.clip(means, 0.005, 0.95),
         n_population=n_population,
         n_targets=n_targets,
         seed=seed,
@@ -181,12 +170,22 @@ class Dataset:
     def n_targets(self) -> int:
         return self.outcomes.shape[1]
 
-    def cell_index(self) -> np.ndarray:
-        """Flat index of each row's full-covariate cell."""
-        return np.ravel_multi_index(self.covariates.T, self.level_counts)
+    def _subset_columns(self, subset) -> tuple[np.ndarray, tuple[int, ...]]:
+        cols = self.column_index(self.covariate_names if subset is None else subset)
+        return cols, tuple(self.level_counts[c] for c in cols)
 
-    def n_cells(self) -> int:
-        return int(np.prod(self.level_counts))
+    def cell_index(self, subset=None) -> np.ndarray:
+        """Flat index of each row's cell over the covariate subset (default:
+        every covariate), in np.ravel_multi_index order of the subset's levels.
+
+        This is the one cell representation: cell tables, cell means and
+        per-cell estimates are all arrays indexed by it.
+        """
+        cols, counts = self._subset_columns(subset)
+        return np.ravel_multi_index(tuple(self.covariates[:, c] for c in cols), counts)
+
+    def n_cells(self, subset=None) -> int:
+        return int(np.prod(self._subset_columns(subset)[1]))
 
     def target_mean(self, target_index: int) -> float:
         return float(self.outcomes[:, target_index].mean())
@@ -259,10 +258,9 @@ def generate_population(spec: PopulationSpec) -> Dataset:
     counts = spec.level_counts
     covariates = np.column_stack([rng.integers(0, c, size=n) for c in counts])
     cells = np.ravel_multi_index(covariates.T, counts)
-    means = spec.means_array()
     outcomes = np.empty((n, spec.n_targets), dtype=np.int64)
     for t in range(spec.n_targets):
-        outcomes[:, t] = rng.random(n) < means[cells, t]
+        outcomes[:, t] = rng.random(n) < spec.cell_means[cells, t]
     return Dataset(
         covariates=covariates,
         outcomes=outcomes,

@@ -58,6 +58,35 @@ class TestGenerate:
         assert run("generate", "--config", bad, "--out", tmp_path / "x") == 2
         assert "n_pop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bias, key", [
+        ({"gamma_true": "abc", "d_true": [1, -1, 1]}, "gamma_true"),
+        ({"gamma_true": 2.0, "d_true": [1, "x", 1]}, "d_true"),
+        ({"gamma_true": [2.0, True, 2.0], "d_true": [1, -1, 1]}, "gamma_true"),
+        ({"gamma_true": 2.0, "d_true": 1.5}, "d_true"),
+    ])
+    def test_malformed_bias_vector_exits_2(self, tmp_path, capsys, bias, key):
+        bad = tmp_path / "bad_bias.json"
+        bad.write_text(json.dumps({"population": {"n_population": 500, "n_targets": 3},
+                                   "bias": bias}))
+        assert run("generate", "--config", bad, "--out", tmp_path / "x") == 2
+        assert f"bias.{key}" in capsys.readouterr().err
+
+    def test_malformed_model_covariates_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps({"model": {"covariates": ["age", 3]}}))
+        assert run("generate", "--config", bad, "--out", tmp_path / "x") == 2
+        assert "model.covariates" in capsys.readouterr().err
+
+    def test_per_target_gamma_list(self, tmp_path):
+        cfg = tmp_path / "gammas.json"
+        cfg.write_text(json.dumps({"population": {"n_population": 3000, "n_targets": 3},
+                                   "bias": {"gamma_true": [1.5, 2, 3.0], "d_true": [1, -1, 1],
+                                            "n_sample": 200}}))
+        out = tmp_path / "gen"
+        assert run("generate", "--config", cfg, "--out", out) == 0
+        sample = Dataset.from_csv(out / "sample_target_2.csv")
+        assert sample.provenance["bias"]["gamma_true"] == [1.5, 2.0, 3.0]
+
     def test_unwritable_output_dir_is_io_error(self, toy_config, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")

@@ -23,6 +23,7 @@ from drureg.harness import (
 from drureg.losses import MetaInfo
 from drureg.nn import TrainConfig
 from drureg.robustness import eta
+from drureg.sampling import biased_sample, generate_population
 
 
 def small_setup(n_replicates=1, n_population=15_000, n_sample=600, n_targets=2,
@@ -138,6 +139,30 @@ class TestRunSweep:
                            base_seed=9)
         assert sorted(f.method for f in result.failures) == ["dru_informed", "pinball"]
         assert {r.method for r in result.records} == {"nn_plain"}
+
+    def test_coverage_matches_brute_force_cell_sets(self):
+        pops, biases, cfg = small_setup(n_replicates=2, n_population=2000, n_sample=150)
+        subsets = [["gender", "age", "area", "education", "employment", "past_vote"], ["age"]]
+        result = run_sweep(pops, biases, subsets, ["regression_poststrat"], cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=6)
+        expected = []
+        for replicate, (pop_spec, bias) in enumerate(zip(pops, biases)):
+            population = generate_population(pop_spec)
+            for subset in subsets:
+                cols = population.column_index(subset)
+                cells = {tuple(row) for row in population.covariates[:, cols].tolist()}
+                unseen = []
+                for t in range(population.n_targets):
+                    sample = biased_sample(population, bias, t)
+                    seen = {tuple(row) for row in sample.covariates[:, cols].tolist()}
+                    unseen.append(len(cells - seen))
+                expected.append({"replicate": replicate, "subset": "+".join(subset),
+                                 "cells": len(cells), "max_unseen_in_training": max(unseen)})
+        assert result.coverage == expected
+        # 2,000 rows leave some of the 1,440 full cells empty, and 150 sample
+        # rows cannot reach all of the populated ones
+        assert all(0 < row["max_unseen_in_training"] < row["cells"] < 1440
+                   for row in expected[::2])
 
     def test_unbiased_samples_leave_little_bias_to_move(self):
         # no bias to remove: an exact-fit estimator scores near zero; the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, EstimationError, SchemaError
 from drureg.sampling import (
@@ -15,27 +17,87 @@ from drureg.sampling import (
 
 def flat_spec(mean, n=100_000, covariates=(("gender", 2), ("age", 5)), n_targets=1, seed=0):
     """Population spec with the same outcome mean in every cell."""
-    counts = [c for _, c in covariates]
-    cells = np.indices(counts).reshape(len(counts), -1).T
-    cell_means = {tuple(int(v) for v in cell): (mean,) * n_targets for cell in cells}
-    return PopulationSpec(covariate_levels=tuple(covariates), cell_means=cell_means,
+    n_cells = int(np.prod([c for _, c in covariates]))
+    return PopulationSpec(covariate_levels=tuple(covariates),
+                          cell_means=np.full((n_cells, n_targets), mean),
                           n_population=n, n_targets=n_targets, seed=seed)
 
 
 class TestPopulationSpec:
     def test_default_spec_satisfies_invariants(self):
         spec = default_population_spec(n_population=1000, seed=3)
-        for means in spec.cell_means.values():
-            arr = np.asarray(means)
-            assert (arr >= 0).all() and (arr <= 1).all()
-            assert arr.sum() <= 1.0 + 1e-9
-        assert len(spec.cell_means) == 2 * 5 * 4 * 3 * 3 * 4
+        assert spec.cell_means.shape == (2 * 5 * 4 * 3 * 3 * 4, 5)
+        assert (spec.cell_means >= 0).all() and (spec.cell_means <= 1).all()
+        assert (spec.cell_means.sum(axis=1) <= 1.0 + 1e-9).all()
 
     def test_rejects_inconsistent_means(self):
         with pytest.raises(ConfigError):
             flat_spec(1.5)
         with pytest.raises(ConfigError, match="sum"):
-            spec = flat_spec(0.6, n_targets=2)
+            flat_spec(0.6, n_targets=2)
+        with pytest.raises(ConfigError, match="shape"):
+            PopulationSpec(covariate_levels=(("gender", 2),), cell_means=np.full((3, 1), 0.5),
+                           n_population=10, n_targets=1, seed=0)
+
+    def test_cell_means_match_the_per_cell_loop(self):
+        # reference: each cell's means built on their own, looked up by the
+        # cell's flat index; the arithmetic is the same, so equality is exact
+        covariates = (("a", 2), ("b", 3), ("c", 1))
+        base = np.array([0.4, 0.3, 0.15])  # seed 0 rescales two of the six cells
+        spec = default_population_spec(n_population=10, n_targets=3, seed=0,
+                                       covariate_levels=covariates, base_shares=base,
+                                       effect_scale=0.3)
+        rng = np.random.default_rng(0)
+        effects = [rng.uniform(-0.3, 0.3, size=(c, 3)) for _, c in covariates]
+        levels = np.indices((2, 3, 1)).reshape(3, -1).T[::-1]
+        data = Dataset(levels, np.zeros((6, 1), dtype=np.int64), ("a", "b", "c"), (2, 3, 1))
+        for cell, row in zip(data.cell_index(), levels):
+            tilt = np.zeros(3)
+            for j, level in enumerate(row):
+                tilt += effects[j][level]
+            means = base * np.exp(tilt)
+            if means.sum() > 0.97:
+                means *= 0.97 / means.sum()
+            assert np.array_equal(spec.cell_means[cell], np.clip(means, 0.005, 0.95))
+
+
+@st.composite
+def schemas(draw):
+    """A dataset over 1-4 covariates (single-level ones included) and a subset."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_rows = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    covariates = np.column_stack([rng.integers(0, c, size=n_rows) for c in counts])
+    names = tuple(f"c{j}" for j in range(len(counts)))
+    subset = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
+                           unique=True))
+    data = Dataset(covariates, np.zeros((n_rows, 1), dtype=np.int64), names, tuple(counts))
+    return data, subset
+
+
+class TestCellIndex:
+    @given(schemas())
+    def test_matches_ravel_multi_index_of_the_subset_columns(self, schema):
+        data, subset = schema
+        cols = [data.covariate_names.index(name) for name in subset]
+        counts = [data.level_counts[c] for c in cols]
+        expected = np.ravel_multi_index(data.covariates[:, cols].T, counts)
+        assert np.array_equal(data.cell_index(subset), expected)
+        assert data.n_cells(subset) == int(np.prod(counts))
+        assert ((data.cell_index(subset) >= 0) & (data.cell_index(subset) < data.n_cells(subset))).all()
+
+    @given(schemas())
+    def test_default_subset_is_every_covariate(self, schema):
+        data, _ = schema
+        assert np.array_equal(data.cell_index(), data.cell_index(data.covariate_names))
+        assert data.n_cells() == int(np.prod(data.level_counts))
+
+    def test_unknown_covariate_rejected(self):
+        data = Dataset(np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1), dtype=np.int64),
+                       ("a",), (2,))
+        with pytest.raises(SchemaError, match="unknown covariate"):
+            data.cell_index(["b"])
 
 
 class TestGeneratePopulation:
