@@ -18,6 +18,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(model.to_json())
     (out_dir / "train_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        json.dumps(asdict(report), indent=2, sort_keys=True))
     _write_manifest(out_dir, "train", resolved,
                     ["model.json", "train_report.json"],
                     {"epochs_run": report.epochs_run, "stopped_early": report.stopped_early,

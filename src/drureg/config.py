@@ -83,6 +83,10 @@ def _scalar_types() -> dict:
 
 _SCALAR_TYPES = _scalar_types()
 
+# Smallest accepted value of integer keys below which every run would fail.
+_MINIMUMS = {("oracle", "max_points"): 2, ("sweep", "hidden_width"): 1,
+             ("sweep", "meta_min_cell_rows"): 1}
+
 
 def _has_type(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
@@ -120,6 +124,10 @@ def validate_config(doc: dict) -> dict:
             value = value[part]
         if not _has_type(value, types):
             raise ConfigError(f"config key {'.'.join(path)} must be {types}, got {value!r}")
+    for (section, key), minimum in _MINIMUMS.items():
+        if resolved[section][key] < minimum:
+            raise ConfigError(f"config key {section}.{key} must be >= {minimum}, "
+                              f"got {resolved[section][key]!r}")
     for (section, key), types in _PER_TARGET_TYPES.items():
         value = resolved[section][key]
         if not (_has_type(value, types) or isinstance(value, list)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedScoreError
 from .losses import LossSpec, MetaInfo
-from .nn import TrainConfig, init_mlp, mlp_architecture, one_hot_encode, train
+from .nn import TrainConfig, init_mlp, mlp_architecture, one_hot_encode, split_sizes, train
 from .poststrat import build_cell_table, poststratify
 from .robustness import eta
 from .sampling import BiasSpec, biased_sample, estimate_true_meta, generate_population
@@ -259,6 +259,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                 metas = None if isinstance(informed, Exception) else method.resolve_metas(informed)
                 pinball_ps = None if isinstance(informed, Exception) \
                     else method.resolve_pinball_ps(informed)
+                method_records = []
                 for t in range(n_targets):
                     loss = _method_loss(method.kind, metas, pinball_ps, t)
                     y = samples[t].outcomes[:, t].astype(float)
@@ -268,7 +269,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                     else:
                         preds = _fit_network(method.kind, sample_feats[t], y,
                                              cell_features, loss, cfg, sweep_cfg, seed)
-                    records.append(RunRecord(
+                    method_records.append(RunRecord(
                         replicate=replicate,
                         subset=tuple(subset),
                         method=method.kind,
@@ -277,10 +278,8 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                         y_true=y_true[t],
                         y_unweighted=y_unweighted[t],
                     ))
+                records.extend(method_records)
             except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
-                records = [r for r in records
-                           if not (r.replicate == replicate and r.subset == tuple(subset)
-                                   and r.method == method.kind)]
                 failures.append(RunFailure(
                     replicate=replicate, subset=tuple(subset), method=method.kind,
                     error=f"{type(exc).__name__}: {exc}",
@@ -302,6 +301,12 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     if len(populations) != len(bias_specs):
         raise ConfigError("need exactly one bias spec per population replicate")
     methods = [m if isinstance(m, MethodSpec) else MethodSpec(kind=m) for m in methods]
+    if any(m.kind != "regression_poststrat" for m in methods):
+        n_sample = min(bias.n_sample for bias in bias_specs)
+        n_train = split_sizes(n_sample, cfg.validation_fraction)[1]
+        if n_train < cfg.batch_size:
+            raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {n_train}-row training "
+                              f"split of a {n_sample}-row sample")
     subsets = [tuple(s) for s in covariate_subsets]
     payloads = [
         (idx, pop, bias, subsets, methods, cfg, sweep_cfg, base_seed)
@@ -325,22 +330,23 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     return SweepResult(records=records, failures=failures, coverage=coverage)
 
 
+def _b_values_by_method(result: SweepResult) -> dict[str, np.ndarray]:
+    """Run b-scores grouped per method, methods in sorted order."""
+    by_method: dict = {}
+    for (_, _, method), b in result.run_b_values().items():
+        by_method.setdefault(method, []).append(b)
+    return {method: np.array(by_method[method]) for method in sorted(by_method)}
+
+
 def summarize(result: SweepResult) -> list[dict]:
     """Per-method mean b and frequency of positive b, from the run records."""
     if not result.records:
         raise ConfigError("cannot summarize an empty sweep")
-    by_method: dict = {}
-    for (_, _, method), b in result.run_b_values().items():
-        by_method.setdefault(method, []).append(b)
-    rows = []
-    for method in sorted(by_method):
-        values = np.array(by_method[method])
-        rows.append({
-            "method": method,
-            "mean_b": float(values.mean()),
-            "freq_b_positive": float((values > 0).mean()),
-        })
-    return rows
+    return [
+        {"method": method, "mean_b": float(values.mean()),
+         "freq_b_positive": float((values > 0).mean())}
+        for method, values in _b_values_by_method(result).items()
+    ]
 
 
 def histogram_data(result: SweepResult, n_bins: int = 24,
@@ -348,13 +354,9 @@ def histogram_data(result: SweepResult, n_bins: int = 24,
     """Per-method b-score histogram counts on fixed bins, outliers clipped
     into the edge bins; data-only output for external plotting."""
     edges = np.linspace(lo, hi, n_bins + 1)
-    by_method: dict = {}
-    for (_, _, method), b in result.run_b_values().items():
-        by_method.setdefault(method, []).append(b)
     rows = []
-    for method in sorted(by_method):
-        values = np.clip(np.array(by_method[method]), lo, hi)
-        counts, _ = np.histogram(values, bins=edges)
+    for method, values in _b_values_by_method(result).items():
+        counts, _ = np.histogram(np.clip(values, lo, hi), bins=edges)
         for k in range(n_bins):
             rows.append({
                 "method": method,

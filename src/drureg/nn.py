@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
 from .losses import LossSpec, MetaInfo, loss_gradients, loss_value
 
-_ACTIVATIONS = ("relu", "identity", "softplus")
+_ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass(frozen=True)
@@ -32,34 +32,53 @@ class LayerSpec:
             raise ParameterError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W_k, b_k) views of a flat vector laid out as W_0 (row-major,
+    shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients."""
+    views, end = [], 0
+    for spec in layers:
+        start, mid = end, end + spec.input_width * spec.output_width
+        end = mid + spec.output_width
+        views.append((flat[start:mid].reshape(spec.input_width, spec.output_width),
+                      flat[mid:end]))
+    return views
+
+
 class MLP:
-    """Dense network: per-layer weight matrices (in, out) and bias vectors."""
+    """Dense network whose parameters live in one flat float64 vector `params`.
 
-    layers: tuple[LayerSpec, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    seed: int = 0
+    `weights` and `biases` are tuples of per-layer views into `params`
+    (matrices (in, out) and vectors (out,)), so editing an entry in place
+    edits `params`; the constructor copies the given arrays into it.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, layers, weights, biases, seed: int = 0) -> None:
+        self.layers = tuple(layers)
+        self.seed = seed
         for k in range(len(self.layers) - 1):
             if self.layers[k].output_width != self.layers[k + 1].input_width:
                 raise ShapeError(f"layer {k} output width does not chain into layer {k + 1}")
         for k, spec in enumerate(self.layers):
-            if self.weights[k].shape != (spec.input_width, spec.output_width):
-                raise ShapeError(f"weight matrix {k} has shape {self.weights[k].shape}")
-            if self.biases[k].shape != (spec.output_width,):
-                raise ShapeError(f"bias vector {k} has shape {self.biases[k].shape}")
-            if not np.isfinite(self.weights[k]).all() or not np.isfinite(self.biases[k]).all():
+            if np.shape(weights[k]) != (spec.input_width, spec.output_width):
+                raise ShapeError(f"weight matrix {k} has shape {np.shape(weights[k])}")
+            if np.shape(biases[k]) != (spec.output_width,):
+                raise ShapeError(f"bias vector {k} has shape {np.shape(biases[k])}")
+        self.params = np.empty(sum((s.input_width + 1) * s.output_width for s in self.layers))
+        views = _layer_views(self.params, self.layers)
+        for k, (w, b) in enumerate(views):
+            w[...] = weights[k]
+            b[...] = biases[k]
+            if not np.isfinite(w).all() or not np.isfinite(b).all():
                 raise NumericError(f"non-finite parameters in layer {k}")
+        self.weights = tuple(w for w, _ in views)
+        self.biases = tuple(b for _, b in views)
 
     @property
     def input_width(self) -> int:
         return self.layers[0].input_width
 
     def copy(self) -> "MLP":
-        return MLP(self.layers, [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.seed)
+        return MLP(self.layers, self.weights, self.biases, self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -76,9 +95,7 @@ class MLP:
     @classmethod
     def from_dict(cls, payload: dict) -> "MLP":
         layers = tuple(LayerSpec(**entry) for entry in payload["layers"])
-        weights = [np.array(w, dtype=float) for w in payload["weights"]]
-        biases = [np.array(b, dtype=float) for b in payload["biases"]]
-        return cls(layers, weights, biases, int(payload.get("seed", 0)))
+        return cls(layers, payload["weights"], payload["biases"], int(payload.get("seed", 0)))
 
 
 def mlp_architecture(input_width: int, hidden_width: int = 4,
@@ -102,22 +119,6 @@ def init_mlp(layers: tuple[LayerSpec, ...], seed: int) -> MLP:
     return MLP(layers, weights, biases, seed)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "softplus":
-        return np.logaddexp(0.0, z)
-    return z
-
-
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "softplus":
-        return 1.0 / (1.0 + np.exp(-z))
-    return np.ones_like(z)
-
-
 def _forward_cached(net: MLP, X: np.ndarray):
     """Forward pass over a batch, keeping per-layer inputs and pre-activations."""
     a = X
@@ -126,7 +127,7 @@ def _forward_cached(net: MLP, X: np.ndarray):
         inputs.append(a)
         z = a @ net.weights[k] + net.biases[k]
         preacts.append(z)
-        a = _activate(spec.activation, z)
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return a, inputs, preacts
 
 
@@ -151,32 +152,35 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _backprop(net: MLP, inputs, preacts, dloss_dout: np.ndarray):
+def _backprop(net: MLP, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
+    """Write the gradients of sum_i dloss_dout[i] * net(x_i) into `grads`,
+    the per-layer (dW, db) views of one flat gradient vector."""
     delta = dloss_dout[:, None]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
-        z = preacts[k]
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite pre-activation in layer {k}")
-        delta = delta * _activate_grad(net.layers[k].activation, z)
-        grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
+        if net.layers[k].activation == "relu":
+            delta = delta * (preacts[k] > 0.0)
+        dw, db = grads[k]
+        np.matmul(inputs[k].T, delta, out=dw)
+        delta.sum(axis=0, out=db)
         if k > 0:
             delta = delta @ net.weights[k].T
-    return grads
 
 
 def backward(net: MLP, X: np.ndarray, dloss_dout: np.ndarray):
     """Parameter gradients of sum_i dloss_dout[i] * net(x_i).
 
-    Returns [(dW_0, db_0), ...] matching the layer order; chain-rule through
-    the cached forward pass. relu contributes zero gradient at its kink.
+    Returns [(dW_0, db_0), ...] matching the layer order, as views of one
+    flat gradient vector laid out like `net.params`; chain-rule through the
+    cached forward pass. relu contributes zero gradient at its kink.
     """
     X = np.asarray(X, dtype=float)
     dloss_dout = np.asarray(dloss_dout, dtype=float)
     if not np.isfinite(dloss_dout).all():
         raise NumericError("non-finite loss gradient")
     _, inputs, preacts = _forward_cached(net, X)
-    return _backprop(net, inputs, preacts, dloss_dout)
+    grads = _layer_views(np.empty_like(net.params), net.layers)
+    _backprop(net, inputs, preacts, dloss_dout, grads)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,6 @@ class TrainReport:
     train_loss_trace: list[float]
     val_loss_trace: list[float]
     stopped_early: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs_run": self.epochs_run,
-            "train_loss_trace": self.train_loss_trace,
-            "val_loss_trace": self.val_loss_trace,
-            "stopped_early": self.stopped_early,
-        }
 
 
 @dataclass
@@ -272,33 +268,11 @@ def _loss_spec_from_dict(payload: dict) -> LossSpec:
     return LossSpec(kind=payload["kind"], meta=meta, pinball_p=payload.get("pinball_p"))
 
 
-class _Adam:
-    """Per-parameter Adam state for one network."""
-
-    def __init__(self, net: MLP, cfg: TrainConfig):
-        self.cfg = cfg
-        self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-        self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-        self.t = 0
-
-    def step(self, net: MLP, grads) -> None:
-        cfg = self.cfg
-        self.t += 1
-        corr1 = 1.0 - cfg.adam_beta1 ** self.t
-        corr2 = 1.0 - cfg.adam_beta2 ** self.t
-        for k, (dw, db) in enumerate(grads):
-            mw, mb = self.m[k]
-            vw, vb = self.v[k]
-            mw *= cfg.adam_beta1
-            mw += (1.0 - cfg.adam_beta1) * dw
-            mb *= cfg.adam_beta1
-            mb += (1.0 - cfg.adam_beta1) * db
-            vw *= cfg.adam_beta2
-            vw += (1.0 - cfg.adam_beta2) * dw * dw
-            vb *= cfg.adam_beta2
-            vb += (1.0 - cfg.adam_beta2) * db * db
-            net.weights[k] -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + cfg.adam_epsilon)
-            net.biases[k] -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + cfg.adam_epsilon)
+def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:
+    """(validation rows, training rows) that `train` splits n rows into."""
+    n_val = int(round(n * validation_fraction))
+    n_val = min(max(n_val, 1), n - 1) if n > 1 else 0
+    return n_val, n - n_val
 
 
 def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
@@ -309,7 +283,8 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
     seeded shuffle. Training stops at max_epochs, or early once the
     validation loss has failed to improve on its best by more than
     improvement_tolerance for `patience` consecutive epochs; the returned
-    weights are those of the best-validation epoch.
+    weights are those of the best-validation epoch. An epoch whose training
+    loss is not finite raises NumericError.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -322,24 +297,22 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
     if not loss.needs_alpha and alpha is not None:
         raise ConfigError(f"loss kind {loss.kind!r} does not take an alpha network")
 
-    n = features.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(n)
-    n_val = int(round(n * cfg.validation_fraction))
-    n_val = min(max(n_val, 1), n - 1) if n > 1 else 0
+    order = rng.permutation(features.shape[0])
+    n_val, n_train = split_sizes(features.shape[0], cfg.validation_fraction)
+    if cfg.batch_size > n_train:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        raise ConfigError("training split is empty")
-    if cfg.batch_size > train_idx.size:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} exceeds training-set size {train_idx.size}")
     X_train, y_train = features[train_idx], targets[train_idx]
     X_val, y_val = features[val_idx], targets[val_idx]
 
     h = h.copy()
     alpha = alpha.copy() if alpha is not None else None
-    opt_h = _Adam(h, cfg)
-    opt_a = _Adam(alpha, cfg) if alpha is not None else None
+    nets = [net for net in (h, alpha) if net is not None]
+    grads = [np.empty_like(net.params) for net in nets]
+    grad_views = [_layer_views(grad, net.layers) for net, grad in zip(nets, grads)]
+    moments = [(np.zeros_like(grad), np.zeros_like(grad)) for grad in grads]
+    b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
 
     def val_loss() -> float:
         if X_val.shape[0] == 0:
@@ -349,37 +322,44 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
         return float(np.mean(loss_value(loss, z, a, y_val)))
 
     best_val = np.inf
-    best_h, best_alpha = h.copy(), alpha.copy() if alpha is not None else None
+    best = [net.params.copy() for net in nets]
     flat_epochs = 0
     stopped_early = False
+    steps = 0
     train_trace: list[float] = []
     val_trace: list[float] = []
 
     for _ in range(cfg.max_epochs):
-        perm = rng.permutation(train_idx.size)
+        perm = rng.permutation(n_train)
         epoch_loss = 0.0
-        for start in range(0, perm.size, cfg.batch_size):
+        for start in range(0, n_train, cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             Xb, yb = X_train[batch], y_train[batch]
-            out_h, in_h, pre_h = _forward_cached(h, Xb)
-            z = out_h[:, 0]
-            if alpha is not None:
-                out_a, in_a, pre_a = _forward_cached(alpha, Xb)
-                a = out_a[:, 0]
-            else:
-                a = np.zeros_like(z)
+            caches = [_forward_cached(net, Xb) for net in nets]
+            z = caches[0][0][:, 0]
+            a = caches[1][0][:, 0] if alpha is not None else np.zeros_like(z)
             epoch_loss += float(np.sum(loss_value(loss, z, a, yb)))
-            dz, da = loss_gradients(loss, z, a, yb)
+            douts = loss_gradients(loss, z, a, yb)
             scale = 1.0 / batch.size
-            opt_h.step(h, _backprop(h, in_h, pre_h, dz * scale))
-            if alpha is not None:
-                opt_a.step(alpha, _backprop(alpha, in_a, pre_a, da * scale))
-        train_trace.append(epoch_loss / perm.size)
+            steps += 1
+            corr1 = 1.0 - b1 ** steps
+            corr2 = 1.0 - b2 ** steps
+            for net, (_, inputs, preacts), dout, grad, views, (m, v) in zip(
+                    nets, caches, douts, grads, grad_views, moments):
+                _backprop(net, inputs, preacts, dout * scale, views)
+                # Adam (Kingma & Ba, 2015) over the network's whole parameter vector
+                m *= b1
+                m += (1.0 - b1) * grad
+                v *= b2
+                v += (1.0 - b2) * grad * grad
+                net.params -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        if not np.isfinite(epoch_loss):
+            raise NumericError(f"non-finite training loss in epoch {len(train_trace) + 1}")
+        train_trace.append(epoch_loss / n_train)
         current = val_loss()
         val_trace.append(current)
         if current < best_val:
-            best_h = h.copy()
-            best_alpha = alpha.copy() if alpha is not None else None
+            best = [net.params.copy() for net in nets]
         if current < best_val - cfg.improvement_tolerance:
             flat_epochs = 0
         else:
@@ -389,13 +369,15 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
             stopped_early = True
             break
 
+    for net, params in zip(nets, best):
+        net.params[:] = params
     report = TrainReport(
         epochs_run=len(train_trace),
         train_loss_trace=train_trace,
         val_loss_trace=val_trace,
         stopped_early=stopped_early,
     )
-    return TrainedModel(h=best_h, alpha=best_alpha, loss=loss), report
+    return TrainedModel(h=h, alpha=alpha, loss=loss), report
 
 
 def one_hot_encode(levels: np.ndarray, level_counts) -> np.ndarray:

@@ -154,6 +154,24 @@ class TestOracle:
         assert "infeasible" in capsys.readouterr().out
 
 
+class TestConfigBounds:
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("oracle", "oracle", "max_points", 1, "oracle.max_points"),
+        ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
+        ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
+        ("sweep", "bias", "n_sample", 12, "batch_size 12"),
+    ])
+    def test_value_that_fails_every_run_exits_2(self, tmp_path, capsys, command, section,
+                                                 key, value, message):
+        doc = {**TOY_CONFIG, section: {**TOY_CONFIG.get(section, {}), key: value}}
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out, "--jobs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_toy_sweep_cardinality_and_columns(self, toy_config, tmp_path):
         out = tmp_path / "sw"
@@ -176,7 +194,7 @@ class TestSweep:
 
     def test_exit_3_when_too_many_runs_fail(self, tmp_path, capsys):
         doc = dict(TOY_CONFIG)
-        doc["train"] = {"batch_size": 100_000}  # every network run fails
+        doc["train"] = {"learning_rate": 1e300}  # every network fit diverges
         doc["methods"] = ["nn_plain", "dru_informed"]
         cfg = tmp_path / "failing.json"
         cfg.write_text(json.dumps(doc))

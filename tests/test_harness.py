@@ -118,7 +118,7 @@ class TestRunSweep:
 
     def test_failed_runs_are_recorded_and_sweep_continues(self):
         pops, biases, cfg = small_setup()
-        bad_cfg = TrainConfig(batch_size=100_000)  # exceeds every training split
+        bad_cfg = TrainConfig(learning_rate=1e300)  # every network fit diverges
         result = run_sweep(pops, biases, [["gender"]], ["nn_plain", "regression_poststrat"],
                            bad_cfg, SweepConfig(prev_sample_size=4000), base_seed=3)
         assert [f.method for f in result.failures] == ["nn_plain"]

@@ -85,6 +85,39 @@ class TestBackward:
             assert max_rel_error(analytic, numeric) < 1e-4
 
 
+class TestFlatLayout:
+    def test_weights_and_biases_are_views_of_params_in_layer_order(self):
+        net = init_mlp(mlp_architecture(3, 4), seed=0)
+        net.params[:] = np.arange(net.params.size)
+        offset = 0
+        for w, b in zip(net.weights, net.biases):
+            for part in (w, b):
+                assert np.array_equal(part.ravel(), np.arange(offset, offset + part.size))
+                offset += part.size
+        assert offset == net.params.size
+        net.weights[1][2, 3] = -1.0
+        net.biases[2][0] = -2.0
+        # W_1[2, 3] follows W_0 (3 x 4) and b_0 (4), at row-major offset 2 * 4 + 3
+        assert net.params[12 + 4 + 2 * 4 + 3] == -1.0
+        assert net.params[-1] == -2.0
+
+    def test_rebinding_a_layer_raises(self):
+        net = init_mlp(mlp_architecture(3, 4), seed=0)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((3, 4))
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(4)
+
+    def test_backward_pairs_are_slices_of_one_flat_gradient(self):
+        net = init_mlp(mlp_architecture(3, 4), seed=1)
+        grads = backward(net, np.random.default_rng(0).normal(size=(5, 3)), np.ones(5))
+        flat = grads[0][0].base
+        assert flat is not None and flat.shape == net.params.shape
+        assert all(dw.base is flat and db.base is flat for dw, db in grads)
+        assert np.array_equal(
+            flat, np.concatenate([part.ravel() for pair in grads for part in pair]))
+
+
 class TestTrain:
     def test_fits_a_constant(self, rng):
         X = rng.random((200, 3))
@@ -140,6 +173,18 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(h, None, X, rng.random(10), LossSpec("squared"),
                   TrainConfig(batch_size=64))
+
+    @pytest.mark.parametrize("with_alpha", [False, True])
+    def test_diverging_fit_raises(self, rng, with_alpha):
+        X = rng.random((60, 3))
+        y = rng.random(60)
+        h = init_mlp(mlp_architecture(3, 4), seed=4)
+        alpha, spec = None, LossSpec("squared")
+        if with_alpha:
+            alpha = init_mlp(mlp_architecture(3, 4, output_activation="relu"), seed=5)
+            spec = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            train(h, alpha, X, y, spec, TrainConfig(learning_rate=1e300, seed=6))
 
     def test_alpha_presence_must_match_loss(self, rng):
         X = rng.random((40, 2))
