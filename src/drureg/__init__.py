@@ -15,7 +15,8 @@ from .errors import (
 )
 from .harness import (
     METHOD_KINDS,
-    MethodSpec,
+    METHODS,
+    Method,
     RunRecord,
     SweepConfig,
     SweepResult,

@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import METHOD_KINDS, SweepConfig
+from .harness import METHOD_KINDS, SweepConfig, lookup_method
 from .nn import TrainConfig
 from .sampling import (
     DEFAULT_COVARIATES,
@@ -83,9 +83,9 @@ def _scalar_types() -> dict:
 
 _SCALAR_TYPES = _scalar_types()
 
-# Smallest accepted value of integer keys below which every run would fail.
-_MINIMUMS = {("oracle", "max_points"): 2, ("sweep", "hidden_width"): 1,
-             ("sweep", "meta_min_cell_rows"): 1}
+# Smallest accepted value of numeric keys below which runs would fail.
+_MINIMUMS = {("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1,
+             ("sweep", "hidden_width"): 1, ("sweep", "meta_min_cell_rows"): 1}
 
 
 def _has_type(value, types) -> bool:
@@ -125,9 +125,13 @@ def validate_config(doc: dict) -> dict:
         if not _has_type(value, types):
             raise ConfigError(f"config key {'.'.join(path)} must be {types}, got {value!r}")
     for (section, key), minimum in _MINIMUMS.items():
-        if resolved[section][key] < minimum:
+        if not resolved[section][key] >= minimum:  # also rejects NaN
             raise ConfigError(f"config key {section}.{key} must be >= {minimum}, "
                               f"got {resolved[section][key]!r}")
+    oracle = resolved["oracle"]
+    if not oracle["gamma_high"] >= oracle["gamma_low"]:
+        raise ConfigError(f"config key oracle.gamma_high must be >= oracle.gamma_low, "
+                          f"got {oracle['gamma_high']!r} < {oracle['gamma_low']!r}")
     for (section, key), types in _PER_TARGET_TYPES.items():
         value = resolved[section][key]
         if not (_has_type(value, types) or isinstance(value, list)
@@ -150,9 +154,8 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("population.base_shares must be a list of numbers")
     if not isinstance(resolved["methods"], list) or not resolved["methods"]:
         raise ConfigError("config key 'methods' must be a non-empty list")
-    for method in resolved["methods"]:
-        if method not in METHOD_KINDS:
-            raise ConfigError(f"unknown method {method!r}, expected one of {METHOD_KINDS}")
+    for kind in resolved["methods"]:
+        lookup_method(kind)
     subsets = resolved["covariate_subsets"]
     if not isinstance(subsets, list) or not subsets or \
             not all(isinstance(s, list) and s for s in subsets):

@@ -10,6 +10,7 @@ population, never on the evaluation sample.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,62 +23,71 @@ from .poststrat import build_cell_table, poststratify
 from .robustness import eta
 from .sampling import BiasSpec, biased_sample, estimate_true_meta, generate_population
 
-METHOD_KINDS = (
-    "dru_informed",
-    "nn_plain",
-    "regression_poststrat",
-    "pinball",
-    "dru_wrong_gamma",
-    "dru_wrong_d",
-    "dru_wrong_both",
-)
+
+def _squared(meta: MetaInfo | None) -> LossSpec:
+    return LossSpec(kind="squared")
+
+
+def _dru_or_squared(meta: MetaInfo) -> LossSpec:
+    # no usable directional information (d = 0 or gamma = 1): plain fit
+    if meta.direction == 0 or meta.gamma == 1.0:
+        return LossSpec(kind="squared")
+    return LossSpec(kind="dru", meta=meta)
+
+
+def _pinball(meta: MetaInfo) -> LossSpec:
+    """Quantile level pushed toward the side the population is believed to
+    lie, more strongly for larger gamma: d = +1 -> 1 - eta(gamma), d = -1 ->
+    eta(gamma), d = 0 -> the median."""
+    p = {1: 1.0 - eta(meta.gamma), -1: eta(meta.gamma), 0: 0.5}[meta.direction]
+    return LossSpec(kind="pinball", pinball_p=p)
 
 
 @dataclass(frozen=True)
-class MethodSpec:
-    """One estimation method; per-target parameters are resolved per replicate
-    from the informed meta estimates unless given explicitly."""
+class Method:
+    """One sweep method.
 
-    kind: str
-    metas: tuple[MetaInfo, ...] | None = None
-    pinball_ps: tuple[float, ...] | None = None
+    loss            per-target LossSpec from that target's meta; None marks
+                    the closed-form regression instead of a network
+    needs_meta      whether the loss reads the informed meta estimates
+    reverse_gamma   cross-target transform: reverse the gamma vector
+    flip_d          cross-target transform: flip every direction
+    width_factor    multiplier on sweep hidden_width for the predictor h
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in METHOD_KINDS:
-            raise ConfigError(f"unknown method {self.kind!r}, expected one of {METHOD_KINDS}")
+    loss: Callable[[MetaInfo | None], LossSpec] | None
+    needs_meta: bool = True
+    reverse_gamma: bool = False
+    flip_d: bool = False
+    width_factor: int = 1
 
-    def resolve_metas(self, informed: tuple[MetaInfo, ...]) -> tuple[MetaInfo, ...]:
-        """Per-target MetaInfo for the dRU variants.
+    def metas(self, informed: tuple[MetaInfo, ...]) -> tuple[MetaInfo, ...]:
+        """Per-target meta after this method's cross-target transform."""
+        gammas = [m.gamma for m in informed]
+        if self.reverse_gamma:
+            gammas = gammas[::-1]
+        sign = -1 if self.flip_d else 1
+        return tuple(MetaInfo(gamma=g, direction=sign * m.direction)
+                     for g, m in zip(gammas, informed))
 
-        wrong_gamma reverses the order of the gamma vector across targets,
-        wrong_d flips every direction, wrong_both does both.
-        """
-        base = self.metas if self.metas is not None else informed
-        if self.kind in ("dru_wrong_gamma", "dru_wrong_both"):
-            gammas = [m.gamma for m in base][::-1]
-        else:
-            gammas = [m.gamma for m in base]
-        if self.kind in ("dru_wrong_d", "dru_wrong_both"):
-            directions = [-m.direction for m in base]
-        else:
-            directions = [m.direction for m in base]
-        return tuple(MetaInfo(gamma=g, direction=d) for g, d in zip(gammas, directions))
 
-    def resolve_pinball_ps(self, informed: tuple[MetaInfo, ...]) -> tuple[float, ...]:
-        """Quantile levels from the informed meta: push the fit toward the
-        side the population is believed to lie, more strongly for larger
-        gamma (direction=+1 -> p = 1 - eta(gamma), direction=-1 -> eta)."""
-        if self.pinball_ps is not None:
-            return self.pinball_ps
-        ps = []
-        for m in informed:
-            if m.direction > 0:
-                ps.append(1.0 - eta(m.gamma))
-            elif m.direction < 0:
-                ps.append(eta(m.gamma))
-            else:
-                ps.append(0.5)
-        return tuple(ps)
+METHODS: dict[str, Method] = {
+    "dru_informed": Method(_dru_or_squared),
+    "nn_plain": Method(_squared, needs_meta=False),
+    "regression_poststrat": Method(None, needs_meta=False),
+    "pinball": Method(_pinball, width_factor=2),
+    "dru_wrong_gamma": Method(_dru_or_squared, reverse_gamma=True),
+    "dru_wrong_d": Method(_dru_or_squared, flip_d=True),
+    "dru_wrong_both": Method(_dru_or_squared, reverse_gamma=True, flip_d=True),
+}
+METHOD_KINDS = tuple(METHODS)
+
+
+def lookup_method(kind) -> Method:
+    """The table entry for a method kind; the one check of method names."""
+    if not isinstance(kind, str) or kind not in METHODS:
+        raise ConfigError(f"unknown method {kind!r}, expected one of {METHOD_KINDS}")
+    return METHODS[kind]
 
 
 @dataclass(frozen=True)
@@ -171,10 +181,11 @@ def _fit_regression(features: np.ndarray, y: np.ndarray, cell_features: np.ndarr
     return np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
 
 
-def _fit_network(kind: str, features: np.ndarray, y: np.ndarray,
-                 cell_features: np.ndarray, loss: LossSpec,
-                 cfg: TrainConfig, sweep_cfg: SweepConfig, seed: int) -> np.ndarray:
-    width = sweep_cfg.hidden_width * (2 if kind == "pinball" else 1)
+def _fit_network(features: np.ndarray, y: np.ndarray, cell_features: np.ndarray,
+                 loss: LossSpec, width: int, cfg: TrainConfig, sweep_cfg: SweepConfig,
+                 seed: int) -> np.ndarray:
+    """Train h (hidden `width`) and, for the robust losses, an alpha net of
+    the sweep's hidden_width; return h's per-cell predictions."""
     h = init_mlp(mlp_architecture(features.shape[1], width), seed=_derive_seed(seed, 0))
     alpha = None
     if loss.needs_alpha:
@@ -184,26 +195,6 @@ def _fit_network(kind: str, features: np.ndarray, y: np.ndarray,
         )
     model, _ = train(h, alpha, features, y, loss, replace(cfg, seed=_derive_seed(seed, 2)))
     return model.predict(cell_features)
-
-
-def _needs_informed_meta(method: MethodSpec) -> bool:
-    if method.kind in ("nn_plain", "regression_poststrat"):
-        return False
-    if method.kind == "pinball":
-        return method.pinball_ps is None
-    return method.metas is None
-
-
-def _method_loss(kind: str, metas, pinball_ps, target: int) -> LossSpec:
-    if kind in ("dru_informed", "dru_wrong_gamma", "dru_wrong_d", "dru_wrong_both"):
-        meta = metas[target]
-        if meta.direction == 0 or meta.gamma == 1.0:
-            # no usable directional information: plain fit
-            return LossSpec(kind="squared")
-        return LossSpec(kind="dru", meta=meta)
-    if kind == "pinball":
-        return LossSpec(kind="pinball", pinball_p=pinball_ps[target])
-    return LossSpec(kind="squared")
 
 
 def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dict]]:
@@ -252,27 +243,27 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
             "cells": int(np.count_nonzero(populated)),
             "max_unseen_in_training": int(unseen),
         })
-        for method_idx, method in enumerate(methods):
+        for method_idx, kind in enumerate(methods):
+            method = METHODS[kind]
             try:
-                if isinstance(informed, Exception) and _needs_informed_meta(method):
+                if method.needs_meta and isinstance(informed, Exception):
                     raise informed
-                metas = None if isinstance(informed, Exception) else method.resolve_metas(informed)
-                pinball_ps = None if isinstance(informed, Exception) \
-                    else method.resolve_pinball_ps(informed)
+                metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
                 method_records = []
                 for t in range(n_targets):
-                    loss = _method_loss(method.kind, metas, pinball_ps, t)
                     y = samples[t].outcomes[:, t].astype(float)
                     seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
-                    if method.kind == "regression_poststrat":
+                    if method.loss is None:
                         preds = _fit_regression(sample_feats[t], y, cell_features)
                     else:
-                        preds = _fit_network(method.kind, sample_feats[t], y,
-                                             cell_features, loss, cfg, sweep_cfg, seed)
+                        preds = _fit_network(sample_feats[t], y, cell_features,
+                                             method.loss(metas[t]),
+                                             sweep_cfg.hidden_width * method.width_factor,
+                                             cfg, sweep_cfg, seed)
                     method_records.append(RunRecord(
                         replicate=replicate,
                         subset=tuple(subset),
-                        method=method.kind,
+                        method=kind,
                         target=t,
                         y_hat=poststratify(preds, table),
                         y_true=y_true[t],
@@ -281,7 +272,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                 records.extend(method_records)
             except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
                 failures.append(RunFailure(
-                    replicate=replicate, subset=tuple(subset), method=method.kind,
+                    replicate=replicate, subset=tuple(subset), method=kind,
                     error=f"{type(exc).__name__}: {exc}",
                 ))
     return records, failures, coverage
@@ -292,16 +283,16 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
               base_seed: int = 0) -> SweepResult:
     """Train/score every (replicate, covariate subset, method) permutation.
 
-    populations and bias_specs pair up one replicate each; methods may be
-    MethodSpec objects or method-kind strings. Replicates run in parallel
-    when sweep_cfg.jobs > 1; the result ordering depends only on run keys.
+    populations and bias_specs pair up one replicate each; methods are
+    method kinds, keys of METHODS. Replicates run in parallel when
+    sweep_cfg.jobs > 1; the result ordering depends only on run keys.
     """
     if not populations or not bias_specs or not covariate_subsets or not methods:
         raise ConfigError("populations, bias_specs, covariate_subsets and methods must be non-empty")
     if len(populations) != len(bias_specs):
         raise ConfigError("need exactly one bias spec per population replicate")
-    methods = [m if isinstance(m, MethodSpec) else MethodSpec(kind=m) for m in methods]
-    if any(m.kind != "regression_poststrat" for m in methods):
+    entries = [lookup_method(kind) for kind in methods]  # every kind, before any work
+    if any(method.loss is not None for method in entries):
         n_sample = min(bias.n_sample for bias in bias_specs)
         n_train = split_sizes(n_sample, cfg.validation_fraction)[1]
         if n_train < cfg.batch_size:

@@ -44,11 +44,6 @@ class DiscreteDistribution:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ParameterError(f"probabilities must sum to 1, got {probs.sum()!r}")
 
-    @classmethod
-    def from_points(cls, points) -> "DiscreteDistribution":
-        values, probs = zip(*points)
-        return cls(np.array(values, dtype=float), np.array(probs, dtype=float))
-
     def mean(self) -> float:
         return float(self.values @ self.probs)
 

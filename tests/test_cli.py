@@ -157,6 +157,9 @@ class TestOracle:
 class TestConfigBounds:
     @pytest.mark.parametrize("command, section, key, value, message", [
         ("oracle", "oracle", "max_points", 1, "oracle.max_points"),
+        ("oracle", "oracle", "gamma_low", 0.9, "oracle.gamma_low"),
+        ("oracle", "oracle", "gamma_low", float("nan"), "oracle.gamma_low"),
+        ("oracle", "oracle", "gamma_high", 0.5, "oracle.gamma_high"),
         ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "bias", "n_sample", 12, "batch_size 12"),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,12 +13,14 @@ from drureg.config import (
 )
 from drureg.errors import ConfigError, UndefinedScoreError
 from drureg.harness import (
-    MethodSpec,
+    METHOD_KINDS,
+    METHODS,
     RunRecord,
     SweepConfig,
     SweepResult,
     b_score,
     histogram_data,
+    lookup_method,
     run_sweep,
     summarize,
 )
@@ -68,6 +72,8 @@ class TestBScore:
 
 
 class TestMethodSpec:
+    """Each method's entry in the METHODS table."""
+
     informed = (
         MetaInfo(gamma=1.5, direction=1),
         MetaInfo(gamma=2.0, direction=-1),
@@ -75,29 +81,86 @@ class TestMethodSpec:
     )
 
     def test_wrong_gamma_reverses_order(self):
-        metas = MethodSpec("dru_wrong_gamma").resolve_metas(self.informed)
+        metas = METHODS["dru_wrong_gamma"].metas(self.informed)
         assert [m.gamma for m in metas] == [3.0, 2.0, 1.5]
         assert [m.direction for m in metas] == [1, -1, 1]
 
     def test_wrong_d_flips_every_sign(self):
-        metas = MethodSpec("dru_wrong_d").resolve_metas(self.informed)
+        metas = METHODS["dru_wrong_d"].metas(self.informed)
         assert [m.gamma for m in metas] == [1.5, 2.0, 3.0]
         assert [m.direction for m in metas] == [-1, 1, -1]
 
     def test_wrong_both(self):
-        metas = MethodSpec("dru_wrong_both").resolve_metas(self.informed)
+        metas = METHODS["dru_wrong_both"].metas(self.informed)
         assert [m.gamma for m in metas] == [3.0, 2.0, 1.5]
         assert [m.direction for m in metas] == [-1, 1, -1]
 
     def test_pinball_levels_push_toward_the_population(self):
-        ps = MethodSpec("pinball").resolve_pinball_ps(self.informed)
+        pinball = METHODS["pinball"]
+        ps = [pinball.loss(m).pinball_p for m in pinball.metas(self.informed)]
         assert ps[0] == pytest.approx(1 - eta(1.5))
         assert ps[1] == pytest.approx(eta(2.0))
         assert ps[0] < 0.5 < ps[1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            MethodSpec("mrp")
+            lookup_method("mrp")
+
+    def test_pinball_without_direction_is_the_median(self):
+        assert METHODS["pinball"].loss(MetaInfo(gamma=2.0, direction=0)).pinball_p == 0.5
+
+    @pytest.mark.parametrize("kind", [k for k in METHOD_KINDS if k.startswith("dru_")])
+    @pytest.mark.parametrize("meta", [MetaInfo(2.0, 0), MetaInfo(1.0, 1)])
+    def test_dru_falls_back_to_squared_without_directional_information(self, kind, meta):
+        method = METHODS[kind]
+        (transformed,) = method.metas((meta,))
+        assert method.loss(transformed).kind == "squared"
+
+    def test_unknown_kind_after_a_valid_one_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a network was trained")
+
+        monkeypatch.setattr("drureg.harness.train", no_fit)
+        monkeypatch.setattr("drureg.harness.generate_population", no_fit)
+        pops, biases, cfg = small_setup()
+        with pytest.raises(ConfigError, match="mrp"):
+            run_sweep(pops, biases, [["gender"]], ["nn_plain", "mrp"], cfg)
+
+
+class TestMethodMapping:
+    """What each method trains, seen at the trainer: fixed informed metas
+    make the expected loss, widths and alpha net of every fit exact."""
+
+    informed = (MetaInfo(gamma=2.0, direction=1), MetaInfo(gamma=3.0, direction=-1))
+
+    def test_every_method_fits_its_loss_and_widths(self, monkeypatch):
+        fits = []
+
+        def recording_train(h, alpha, features, targets, loss, cfg):
+            meta = None if loss.meta is None else (loss.meta.gamma, loss.meta.direction)
+            fits.append((loss.kind, meta, loss.pinball_p, h.layers[0].output_width,
+                         None if alpha is None else alpha.layers[0].output_width))
+            return SimpleNamespace(predict=lambda x: np.full(len(x), 0.5)), None
+
+        monkeypatch.setattr("drureg.harness.train", recording_train)
+        monkeypatch.setattr("drureg.harness.estimate_true_meta",
+                            lambda sample, population, t, min_cell_rows: self.informed[t])
+        pops, biases, cfg = small_setup()
+        methods = ["dru_informed", "nn_plain", "regression_poststrat", "pinball",
+                   "dru_wrong_gamma", "dru_wrong_d", "dru_wrong_both"]
+        result = run_sweep(pops, biases, [["gender", "age"]], methods, cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=1)
+        assert not result.failures
+        assert len(result.records) == 2 * len(methods)
+        # regression_poststrat trains nothing; pinball's h is twice as wide
+        assert fits == [
+            ("dru", (2.0, 1), None, 4, 4), ("dru", (3.0, -1), None, 4, 4),
+            ("squared", None, None, 4, None), ("squared", None, None, 4, None),
+            ("pinball", None, 1 - eta(2.0), 8, None), ("pinball", None, eta(3.0), 8, None),
+            ("dru", (3.0, 1), None, 4, 4), ("dru", (2.0, -1), None, 4, 4),
+            ("dru", (2.0, -1), None, 4, 4), ("dru", (3.0, 1), None, 4, 4),
+            ("dru", (3.0, -1), None, 4, 4), ("dru", (2.0, 1), None, 4, 4),
+        ]
 
 
 class TestRunSweep:
