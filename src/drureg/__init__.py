@@ -37,6 +37,7 @@ from .losses import (
 )
 from .nn import (
     MLP,
+    Fit,
     LayerSpec,
     TrainConfig,
     TrainedModel,
@@ -48,6 +49,7 @@ from .nn import (
     mlp_architecture,
     one_hot_encode,
     train,
+    train_stack,
 )
 from .poststrat import CellTable, build_cell_table, poststratify
 from .robustness import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,6 +93,11 @@ def _has_type(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """False for NaN and +-Infinity, which JSON config files may spell out."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _merge_section(name: str, given: dict, defaults: dict) -> dict:
     unknown = set(given) - set(defaults)
     if unknown:
@@ -124,6 +130,8 @@ def validate_config(doc: dict) -> dict:
             value = value[part]
         if not _has_type(value, types):
             raise ConfigError(f"config key {'.'.join(path)} must be {types}, got {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"config key {'.'.join(path)} must be finite, got {value!r}")
     for (section, key), minimum in _MINIMUMS.items():
         if not resolved[section][key] >= minimum:  # also rejects NaN
             raise ConfigError(f"config key {section}.{key} must be >= {minimum}, "
@@ -134,9 +142,9 @@ def validate_config(doc: dict) -> dict:
                           f"got {oracle['gamma_high']!r} < {oracle['gamma_low']!r}")
     for (section, key), types in _PER_TARGET_TYPES.items():
         value = resolved[section][key]
-        if not (_has_type(value, types) or isinstance(value, list)
-                and all(_has_type(v, types) for v in value)):
-            raise ConfigError(f"config key {section}.{key} must be {types} or a list "
+        values = value if isinstance(value, list) else [value]
+        if not all(_has_type(v, types) and _is_finite(v) for v in values):
+            raise ConfigError(f"config key {section}.{key} must be finite {types} or a list "
                               f"of them, got {value!r}")
     model_covariates = resolved["model"]["covariates"]
     if model_covariates is not None and not (
@@ -150,8 +158,9 @@ def validate_config(doc: dict) -> dict:
             for pair in covariates):
         raise ConfigError("population.covariates must be a list of [name, level_count] pairs")
     shares = resolved["population"]["base_shares"]
-    if not isinstance(shares, list) or not all(isinstance(s, (int, float)) for s in shares):
-        raise ConfigError("population.base_shares must be a list of numbers")
+    if not isinstance(shares, list) or not all(
+            _has_type(s, (int, float)) and _is_finite(s) for s in shares):
+        raise ConfigError("population.base_shares must be a list of finite numbers")
     if not isinstance(resolved["methods"], list) or not resolved["methods"]:
         raise ConfigError("config key 'methods' must be a non-empty list")
     for kind in resolved["methods"]:

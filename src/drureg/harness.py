@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, UndefinedScoreError
 from .losses import LossSpec, MetaInfo
-from .nn import TrainConfig, init_mlp, mlp_architecture, one_hot_encode, split_sizes, train
+from .nn import (Fit, TrainConfig, init_mlp, mlp_architecture, one_hot_encode, split_sizes,
+                 train_stack)
 from .poststrat import build_cell_table, poststratify
 from .robustness import eta
 from .sampling import BiasSpec, biased_sample, estimate_true_meta, generate_population
@@ -181,20 +182,18 @@ def _fit_regression(features: np.ndarray, y: np.ndarray, cell_features: np.ndarr
     return np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
 
 
-def _fit_network(features: np.ndarray, y: np.ndarray, cell_features: np.ndarray,
-                 loss: LossSpec, width: int, cfg: TrainConfig, sweep_cfg: SweepConfig,
-                 seed: int) -> np.ndarray:
-    """Train h (hidden `width`) and, for the robust losses, an alpha net of
-    the sweep's hidden_width; return h's per-cell predictions."""
-    h = init_mlp(mlp_architecture(features.shape[1], width), seed=_derive_seed(seed, 0))
+def _network_fit(cells: np.ndarray, y: np.ndarray, input_width: int, loss: LossSpec,
+                 width: int, sweep_cfg: SweepConfig, seed: int) -> Fit:
+    """h (hidden `width`) and, for the robust losses, an alpha net of the
+    sweep's hidden_width, to train on a sample's cell indices."""
+    h = init_mlp(mlp_architecture(input_width, width), seed=_derive_seed(seed, 0))
     alpha = None
     if loss.needs_alpha:
         alpha = init_mlp(
-            mlp_architecture(features.shape[1], sweep_cfg.hidden_width, output_activation="relu"),
+            mlp_architecture(input_width, sweep_cfg.hidden_width, output_activation="relu"),
             seed=_derive_seed(seed, 1),
         )
-    model, _ = train(h, alpha, features, y, loss, replace(cfg, seed=_derive_seed(seed, 2)))
-    return model.predict(cell_features)
+    return Fit(h, alpha, cells, y, loss, _derive_seed(seed, 2))
 
 
 def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dict]]:
@@ -226,46 +225,65 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     records: list[RunRecord] = []
     failures: list[RunFailure] = []
     coverage: list[dict] = []
+    targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
-        cols = population.column_index(subset)
         cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
-        sample_feats = [one_hot_encode(samples[t].covariates[:, cols], table.level_counts)
-                        for t in range(n_targets)]
+        cells = [sample.cell_index(subset) for sample in samples]
         populated = table.fractions > 0
         unseen = max(
-            np.count_nonzero(populated & (np.bincount(sample.cell_index(subset),
-                                                      minlength=populated.size) == 0))
-            for sample in samples)
+            np.count_nonzero(populated & (np.bincount(c, minlength=populated.size) == 0))
+            for c in cells)
         coverage.append({
             "replicate": replicate,
             "subset": "+".join(subset),
             "cells": int(np.count_nonzero(populated)),
             "max_unseen_in_training": int(unseen),
         })
+        # Per method, each target's source of cell predictions in target
+        # order: a fit index, regression predictions, or the exception that
+        # ends the method there. Every network of the subset trains in one
+        # lockstep call.
+        fits: list[Fit] = []
+        plans: list[list] = []
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
+            plan: list = []
+            plans.append(plan)
             try:
                 if method.needs_meta and isinstance(informed, Exception):
                     raise informed
                 metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
-                method_records = []
                 for t in range(n_targets):
-                    y = samples[t].outcomes[:, t].astype(float)
-                    seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
                     if method.loss is None:
-                        preds = _fit_regression(sample_feats[t], y, cell_features)
-                    else:
-                        preds = _fit_network(sample_feats[t], y, cell_features,
+                        plan.append(_fit_regression(cell_features[cells[t]], targets[t],
+                                                    cell_features))
+                        continue
+                    seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
+                    plan.append(len(fits))
+                    fits.append(_network_fit(cells[t], targets[t], cell_features.shape[1],
                                              method.loss(metas[t]),
                                              sweep_cfg.hidden_width * method.width_factor,
-                                             cfg, sweep_cfg, seed)
+                                             sweep_cfg, seed))
+            except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
+                plan.append(exc)
+        outcomes = train_stack(cell_features, fits, cfg) if fits else []
+        for kind, plan in zip(methods, plans):
+            try:
+                method_records = []
+                for t, source in enumerate(plan):
+                    if isinstance(source, int):
+                        source = outcomes[source]
+                        if not isinstance(source, Exception):
+                            source = source[0].predict(cell_features)
+                    if isinstance(source, Exception):
+                        raise source
                     method_records.append(RunRecord(
                         replicate=replicate,
                         subset=tuple(subset),
                         method=kind,
                         target=t,
-                        y_hat=poststratify(preds, table),
+                        y_hat=poststratify(source, table),
                         y_true=y_true[t],
                         y_unweighted=y_unweighted[t],
                     ))

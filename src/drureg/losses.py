@@ -2,7 +2,8 @@
 
 All losses accept scalars or numpy arrays (broadcasting elementwise) and are
 pure functions; gradients are subgradients, taking the lower branch at hinge
-and indicator boundaries.
+and indicator boundaries. `LossColumns` holds each formula once, for one loss
+or for a stack of losses with per-model parameters.
 """
 
 from __future__ import annotations
@@ -73,10 +74,128 @@ class LossSpec:
     def needs_alpha(self) -> bool:
         return self.kind in ("ru", "dru")
 
+    @property
+    def formula(self) -> str:
+        """The formula this loss evaluates: dRU without a direction (which
+        requires gamma = 1) is the squared loss."""
+        if self.kind == "dru" and self.meta.direction == DIRECTION_NONE:
+            return "squared"
+        return self.kind
+
+
+def _params(spec: LossSpec) -> tuple:
+    """(gamma, direction, p) of a spec, with neutral values where it has none."""
+    meta = spec.meta
+    return (meta.gamma if meta is not None else 1.0,
+            meta.direction if meta is not None else DIRECTION_NONE,
+            spec.pinball_p if spec.pinball_p is not None else 0.5)
+
+
+def _columns(spec: LossSpec) -> "LossColumns":
+    return LossColumns(spec.formula, *_params(spec))
+
+
+class LossColumns:
+    """The one implementation of every loss formula and its subgradients.
+
+    Holds the parameters of M losses that share a formula. Each parameter is
+    a plain float for one loss, or an (M, 1) column so that (M, B) batches
+    broadcast per model; the coefficients a formula needs (1/gamma,
+    gamma - 1, ...) are computed once here. Every operation keeps the
+    evaluation order of the written formulas, so a stacked loss gives
+    exactly the bits of its one-loss counterparts.
+    """
+
+    def __init__(self, formula: str, gamma, direction, p) -> None:
+        self.formula = formula
+        self.params = (gamma, direction, p)
+        self.g_inv = 1.0 / gamma
+        if formula == "ru":
+            self.a_coef, self.hinge_coef = 1.0 - self.g_inv, gamma - self.g_inv
+        else:
+            self.a_coef, self.hinge_coef = gamma - 1.0, (gamma * gamma - 1.0) / gamma
+        self.direction = direction
+        self.p, self.q = p, 1.0 - p
+
+    @classmethod
+    def of(cls, specs) -> "LossColumns":
+        """Columns for specs that share one formula, in the given order."""
+        formulas = {spec.formula for spec in specs}
+        if len(formulas) != 1:
+            raise ParameterError(f"stacked losses need one formula, got {sorted(formulas)}")
+        params = zip(*(_params(spec) for spec in specs))
+        return cls(formulas.pop(), *(np.array(col, dtype=float)[:, None] for col in params))
+
+    def take(self, keep) -> "LossColumns":
+        """The stacked losses selected by `keep`."""
+        return LossColumns(self.formula, *(col[keep] for col in self.params))
+
+    def _gate(self, diff):
+        """True where the dRU surcharge applies: the observation lies on the
+        announced side of the prediction (direction=+1: y above z; -1: y
+        below z). Boundary z == y counts as off."""
+        return diff * self.direction < 0.0
+
+    def value(self, diff, sq, a):
+        """Pointwise loss from the residual diff = z - y, sq = diff ** 2 and a."""
+        if self.formula == "squared":
+            return sq
+        if self.formula == "pinball":
+            return np.where(diff > 0.0, self.p, self.q) * sq
+        surcharge = self.hinge_coef * np.maximum(sq - a, 0.0)
+        if self.formula == "dru":
+            surcharge = surcharge * self._gate(diff)
+        return self.g_inv * sq + self.a_coef * a + surcharge
+
+    def gradients(self, diff, sq, a):
+        """(dLoss/dz, dLoss/da); for the formulas without a threshold,
+        dLoss/da is zero, or None when `a` is None."""
+        if self.formula in ("squared", "pinball"):
+            if self.formula == "squared":
+                dz = 2.0 * diff
+            else:
+                dz = 2.0 * np.where(diff > 0.0, self.p, np.where(diff < 0.0, self.q, 0.0)) * diff
+            return dz, None if a is None else np.zeros_like(a)
+        active = sq - a > 0.0
+        if self.formula == "dru":
+            active = active & self._gate(diff)
+        surcharge = self.hinge_coef * active
+        return 2.0 * diff * (self.g_inv + surcharge), self.a_coef - surcharge
+
+
+def _residuals(z, a, y):
+    z, a, y = (np.asarray(v, dtype=float) for v in (z, a, y))
+    diff = z - y
+    return diff, diff ** 2, a
+
+
+def loss_value(spec: LossSpec, z, a, y):
+    """Evaluate the configured loss pointwise. `a` is ignored unless needed."""
+    diff, sq, a = _residuals(z, a, y)
+    return _columns(spec).value(diff, sq, a)
+
+
+def loss_gradients(spec: LossSpec, z, a, y):
+    """(dLoss/dz, dLoss/da) pointwise subgradients.
+
+    At hinge and gate boundaries the inactive (lower) branch's gradient is
+    returned; the indicators are treated as locally constant in z.
+    """
+    diff, sq, a = _residuals(z, a, y)
+    return _columns(spec).gradients(diff, sq, a)
+
+
+def loss_terms(loss: LossColumns, z, a, y):
+    """(loss, dLoss/dz, dLoss/da) of stacked losses in one pass; `a` is None
+    for formulas without a threshold network."""
+    diff = z - y
+    sq = diff ** 2
+    return (loss.value(diff, sq, a), *loss.gradients(diff, sq, a))
+
 
 def squared_loss(z, y):
     """(z - y)**2."""
-    return (np.asarray(z, dtype=float) - np.asarray(y, dtype=float)) ** 2
+    return loss_value(LossSpec("squared"), z, 0.0, y)
 
 
 def ru_loss(z, a, y, gamma: float):
@@ -85,23 +204,7 @@ def ru_loss(z, a, y, gamma: float):
     gamma**-1 * L + (1 - gamma**-1) * a + (gamma - gamma**-1) * (L - a)+
     with L the squared loss. Collapses to the squared loss at gamma = 1.
     """
-    if gamma < 1.0:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
-    g_inv = 1.0 / gamma
-    loss = squared_loss(z, y)
-    a = np.asarray(a, dtype=float)
-    hinge = np.maximum(loss - a, 0.0)
-    return g_inv * loss + (1.0 - g_inv) * a + (gamma - g_inv) * hinge
-
-
-def _dru_gate(z, y, direction: int):
-    """True where the robustness surcharge applies: the observation lies on
-    the side of the prediction the population is believed to lean toward
-    (direction=+1: y above z; -1: y below z). Boundary z == y counts as off."""
-    residual = np.asarray(y, dtype=float) - np.asarray(z, dtype=float)
-    if direction == DIRECTION_UP:
-        return residual > 0.0
-    return residual < 0.0
+    return loss_value(LossSpec("ru", meta=MetaInfo(gamma, DIRECTION_NONE)), z, a, y)
 
 
 def dru_loss(z, a, y, meta: MetaInfo):
@@ -112,71 +215,12 @@ def dru_loss(z, a, y, meta: MetaInfo):
 
     For direction=+1 under-predictions carry the surcharge, pulling the fit
     upward (toward a population mean believed to be above the sample's);
-    direction=-1 mirrors. Collapses to the squared loss at gamma = 1.
+    direction=-1 mirrors. Collapses to the squared loss at gamma = 1, and is
+    the squared loss when direction=0 (which requires gamma = 1).
     """
-    gamma = meta.gamma
-    if meta.direction == DIRECTION_NONE:
-        if gamma > 1.0:
-            raise ParameterError("dru_loss needs direction in {-1, +1} when gamma > 1; use ru_loss")
-        return squared_loss(z, y)
-    g_inv = 1.0 / gamma
-    loss = squared_loss(z, y)
-    a = np.asarray(a, dtype=float)
-    hinge = np.maximum(loss - a, 0.0)
-    gate = _dru_gate(z, y, meta.direction)
-    return g_inv * loss + (gamma - 1.0) * a + ((gamma * gamma - 1.0) / gamma) * hinge * gate
+    return loss_value(LossSpec("dru", meta=meta), z, a, y)
 
 
 def pinball_loss(z, y, p: float):
     """Squared pinball: p*(z-y)**2 above the observation, (1-p)*(z-y)**2 below."""
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must be in (0, 1), got {p}")
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    weight = np.where(z > y, p, 1.0 - p)
-    return weight * (z - y) ** 2
-
-
-def loss_value(spec: LossSpec, z, a, y):
-    """Evaluate the configured loss pointwise. `a` is ignored unless needed."""
-    if spec.kind == "squared":
-        return squared_loss(z, y)
-    if spec.kind == "ru":
-        return ru_loss(z, a, y, spec.meta.gamma)
-    if spec.kind == "dru":
-        return dru_loss(z, a, y, spec.meta)
-    return pinball_loss(z, y, spec.pinball_p)
-
-
-def loss_gradients(spec: LossSpec, z, a, y):
-    """(dLoss/dz, dLoss/da) pointwise subgradients.
-
-    At hinge and gate boundaries the inactive (lower) branch's gradient is
-    returned; the indicators are treated as locally constant in z.
-    """
-    z = np.asarray(z, dtype=float)
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = z - y
-    if spec.kind == "squared":
-        return 2.0 * diff, np.zeros_like(a)
-    if spec.kind == "pinball":
-        p = spec.pinball_p
-        weight = np.where(diff > 0.0, p, np.where(diff < 0.0, 1.0 - p, 0.0))
-        return 2.0 * weight * diff, np.zeros_like(a)
-    gamma = spec.meta.gamma
-    g_inv = 1.0 / gamma
-    active = squared_loss(z, y) - a > 0.0
-    if spec.kind == "ru":
-        coef = gamma - g_inv
-        dz = 2.0 * diff * (g_inv + coef * active)
-        da = (1.0 - g_inv) - coef * active
-        return dz, da
-    # dru
-    if spec.meta.direction == DIRECTION_NONE:
-        return 2.0 * diff, np.zeros_like(a)
-    coef = (gamma * gamma - 1.0) / gamma
-    gated = active & _dru_gate(z, y, spec.meta.direction)
-    dz = 2.0 * diff * (g_inv + coef * gated)
-    da = (gamma - 1.0) - coef * gated
-    return dz, da
+    return loss_value(LossSpec("pinball", pinball_p=p), z, 0.0, y)

@@ -2,8 +2,9 @@
 
 Two small networks are trained jointly: a predictor producing z = h(x) and an
 optional auxiliary network producing the non-negative threshold a = alpha(x)
-that the robust losses need. Everything is plain numpy and deterministic
-given seeds.
+that the robust losses need. `train_stack` trains many such pairs in lockstep,
+batched along a leading model axis; `train` is its one-fit case. Everything is
+plain numpy and deterministic given seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
-from .losses import LossSpec, MetaInfo, loss_gradients, loss_value
+from .losses import LossColumns, LossSpec, MetaInfo, loss_terms
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -34,13 +35,15 @@ class LayerSpec:
 
 def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W_k, b_k) views of a flat vector laid out as W_0 (row-major,
-    shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients."""
+    shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients.
+    A leading model axis, as in an (M, P) buffer of M networks, is kept."""
     views, end = [], 0
+    lead = flat.shape[:-1]
     for spec in layers:
         start, mid = end, end + spec.input_width * spec.output_width
         end = mid + spec.output_width
-        views.append((flat[start:mid].reshape(spec.input_width, spec.output_width),
-                      flat[mid:end]))
+        views.append((flat[..., start:mid].reshape(*lead, spec.input_width, spec.output_width),
+                      flat[..., mid:end]))
     return views
 
 
@@ -119,13 +122,16 @@ def init_mlp(layers: tuple[LayerSpec, ...], seed: int) -> MLP:
     return MLP(layers, weights, biases, seed)
 
 
-def _forward_cached(net: MLP, X: np.ndarray):
-    """Forward pass over a batch, keeping per-layer inputs and pre-activations."""
+def _forward_cached(net, X: np.ndarray):
+    """Forward pass over a batch, keeping per-layer inputs and pre-activations.
+
+    `net` is an MLP with X of shape (n, in), or a _NetStack with X of shape
+    (M, n, in), one batch per network."""
     a = X
     inputs, preacts = [], []
-    for k, spec in enumerate(net.layers):
+    for spec, w, b in zip(net.layers, net.weights, net.biases):
         inputs.append(a)
-        z = a @ net.weights[k] + net.biases[k]
+        z = a @ w + b
         preacts.append(z)
         a = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return a, inputs, preacts
@@ -152,18 +158,19 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _backprop(net: MLP, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
-    """Write the gradients of sum_i dloss_dout[i] * net(x_i) into `grads`,
-    the per-layer (dW, db) views of one flat gradient vector."""
-    delta = dloss_dout[:, None]
+def _backprop(net, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
+    """Write the gradients of sum_i dloss_dout[..., i] * net(x_i) into `grads`,
+    the per-layer (dW, db) views of one flat gradient buffer (with a leading
+    model axis for a _NetStack)."""
+    delta = dloss_dout[..., None]
     for k in range(len(net.layers) - 1, -1, -1):
         if net.layers[k].activation == "relu":
             delta = delta * (preacts[k] > 0.0)
         dw, db = grads[k]
-        np.matmul(inputs[k].T, delta, out=dw)
-        delta.sum(axis=0, out=db)
+        np.matmul(inputs[k].swapaxes(-1, -2), delta, out=dw)
+        np.add.reduce(delta, axis=-2, out=db)
         if k > 0:
-            delta = delta @ net.weights[k].T
+            delta = delta @ net.weights[k].swapaxes(-1, -2)
 
 
 def backward(net: MLP, X: np.ndarray, dloss_dout: np.ndarray):
@@ -201,7 +208,7 @@ class TrainConfig:
             raise ConfigError("max_epochs/patience must be >= 0 and batch_size >= 1")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ConfigError("validation_fraction must be in (0, 1)")
-        if self.learning_rate <= 0.0 or self.improvement_tolerance <= 0.0:
+        if not (self.learning_rate > 0.0 and self.improvement_tolerance > 0.0):  # also NaN
             raise ConfigError("learning_rate and improvement_tolerance must be positive")
 
 
@@ -275,6 +282,218 @@ def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:
     return n_val, n - n_val
 
 
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """One network pair for `train_stack`: h, and alpha when the loss needs
+    it, trained on the feature-table rows `rows` (n,) with targets (n,),
+    split and shuffled by the stream of `seed`."""
+
+    h: MLP
+    alpha: MLP | None
+    rows: np.ndarray
+    targets: np.ndarray
+    loss: LossSpec
+    seed: int
+
+
+class _NetStack:
+    """M networks of one architecture trained in lockstep.
+
+    Their parameters are the rows of one (M, P) buffer; `weights` and
+    `biases` are per-layer views of it with a leading model axis (biases as
+    (M, 1, out), to broadcast over a batch), built once per stack rather
+    than per step. The gradient buffer and the Adam moments have the same
+    layout, so Adam stays six vector operations over the whole buffer.
+    """
+
+    def __init__(self, nets) -> None:
+        self.layers = nets[0].layers
+        params = np.array([net.params for net in nets])
+        self._set(params, np.zeros_like(params), np.zeros_like(params))
+
+    def _set(self, params, m, v) -> None:
+        self.params, self.m, self.v = params, m, v
+        views = _layer_views(params, self.layers)
+        self.weights = tuple(w for w, _ in views)
+        self.biases = tuple(b[:, None, :] for _, b in views)
+        self.grad = np.empty_like(params)
+        self.grads = _layer_views(self.grad, self.layers)
+
+    def take(self, keep) -> None:
+        """Keep only the networks selected by `keep`."""
+        self._set(self.params[keep], self.m[keep], self.v[keep])
+
+    def update(self, inputs, preacts, dout, corr1: float, corr2: float, cfg) -> None:
+        """One Adam step (Kingma & Ba, 2015) from the loss gradient `dout`."""
+        _backprop(self, inputs, preacts, dout, self.grads)
+        b1, b2, m, v, grad = cfg.adam_beta1, cfg.adam_beta2, self.m, self.v, self.grad
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        self.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_epsilon)
+
+
+class _Lockstep:
+    """Fits that share h and alpha architectures, loss formula and row count,
+    trained as one stack: the same batch schedule and step count for all,
+    while each keeps its own shuffles, early stopping and errors."""
+
+    def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
+        self.table, self.fits, self.cfg = table, fits, cfg
+        n = len(fits[0].rows)
+        self.n_val, self.n_train = split_sizes(n, cfg.validation_fraction)
+        self.rngs = [np.random.default_rng(fit.seed) for fit in fits]
+        orders = np.array([rng.permutation(n) for rng in self.rngs])
+        rows = np.take_along_axis(np.array([fit.rows for fit in fits]), orders, axis=1)
+        targets = np.take_along_axis(np.array([fit.targets for fit in fits], dtype=float),
+                                     orders, axis=1)
+        self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
+        self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
+        self.nets = [_NetStack([fit.h for fit in fits])]
+        if fits[0].alpha is not None:
+            self.nets.append(_NetStack([fit.alpha for fit in fits]))
+        self.loss = LossColumns.of([fit.loss for fit in fits])
+        self.best = [net.params.copy() for net in self.nets]
+        self.best_val = np.full(len(fits), np.inf)
+        self.flat_epochs = np.zeros(len(fits), dtype=int)
+        self.active = np.arange(len(fits))
+        self.traces = [([], []) for _ in fits]
+        self.results: list = [None] * len(fits)
+
+    def _leave(self, leaving: np.ndarray, outcome) -> None:
+        """Record `outcome(j)` for every stacked fit j in `leaving` and drop them."""
+        if not leaving.any():
+            return
+        for j in np.flatnonzero(leaving):
+            self.results[self.active[j]] = outcome(j)
+        keep = ~leaving
+        self.active = self.active[keep]
+        for net in self.nets:
+            net.take(keep)
+        self.best = [best[keep] for best in self.best]
+        self.loss = self.loss.take(keep)
+        for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
+            setattr(self, name, getattr(self, name)[keep])
+
+    def _finished(self, j: int, stopped_early: bool):
+        """The result of stacked fit j: its networks at their best epoch."""
+        fit = self.fits[self.active[j]]
+        h = fit.h.copy()
+        alpha = fit.alpha.copy() if fit.alpha is not None else None
+        for net, best in zip((h, alpha), self.best):
+            net.params[:] = best[j]
+        train_trace, val_trace = self.traces[self.active[j]]
+        report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
+                             val_loss_trace=val_trace, stopped_early=stopped_early)
+        return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
+
+    def _epoch(self, steps: int) -> tuple[np.ndarray, int]:
+        """One pass over every active fit's training rows; returns the summed
+        training loss per fit and the step count so far."""
+        cfg, nets, bs = self.cfg, self.nets, self.cfg.batch_size
+        perms = np.array([self.rngs[i].permutation(self.n_train) for i in self.active])
+        rows = np.take_along_axis(self.train_rows, perms, axis=1)
+        targets = np.take_along_axis(self.train_y, perms, axis=1)
+        epoch_loss = np.zeros(self.active.size)
+        for start in range(0, self.n_train, bs):
+            X = self.table[rows[:, start:start + bs]]
+            caches = [_forward_cached(net, X) for net in nets]
+            a = caches[1][0][..., 0] if len(nets) > 1 else None
+            value, dz, da = loss_terms(self.loss, caches[0][0][..., 0], a,
+                                       targets[:, start:start + bs])
+            epoch_loss += np.add.reduce(value, axis=1)
+            scale = 1.0 / X.shape[1]
+            steps += 1
+            corr1 = 1.0 - cfg.adam_beta1 ** steps
+            corr2 = 1.0 - cfg.adam_beta2 ** steps
+            for net, (_, inputs, preacts), dout in zip(nets, caches, (dz, da)):
+                net.update(inputs, preacts, dout * scale, corr1, corr2, cfg)
+        return epoch_loss, steps
+
+    def _validation_loss(self) -> np.ndarray:
+        """Mean validation loss per active fit; fits whose validation pass
+        has a non-finite activation leave with a NumericError."""
+        if self.n_val == 0:
+            return np.full(self.active.size, np.nan)
+        X = self.table[self.val_rows]
+        caches = [_forward_cached(net, X) for net in self.nets]
+        bad = np.full(self.active.size, -1)  # first non-finite layer, h's before alpha's
+        for _, _, preacts in reversed(caches):
+            for k in range(len(preacts) - 1, -1, -1):
+                bad[~np.isfinite(preacts[k]).all(axis=(1, 2))] = k
+        a = caches[1][0][..., 0] if len(self.nets) > 1 else None
+        diff = caches[0][0][..., 0] - self.val_y
+        current = self.loss.value(diff, diff ** 2, a).mean(axis=1)
+        failed = bad >= 0
+        self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
+        return current[~failed]
+
+    def run(self) -> list:
+        cfg, steps = self.cfg, 0
+        for epoch in range(1, cfg.max_epochs + 1):
+            if not self.active.size:
+                break
+            epoch_loss, steps = self._epoch(steps)
+            finite = np.isfinite(epoch_loss)
+            self._leave(~finite, lambda j: NumericError(
+                f"non-finite training loss in epoch {epoch}"))
+            for i, loss in zip(self.active, epoch_loss[finite]):
+                self.traces[i][0].append(float(loss / self.n_train))
+            current = self._validation_loss()
+            for i, value in zip(self.active, current):
+                self.traces[i][1].append(float(value))
+            improved = current < self.best_val
+            for net, best in zip(self.nets, self.best):
+                best[improved] = net.params[improved]
+            self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
+                                        0, self.flat_epochs + 1)
+            self.best_val = np.where(improved, current, self.best_val)
+            self._leave(self.flat_epochs >= cfg.patience, lambda j: self._finished(j, True))
+        self._leave(np.ones(self.active.size, dtype=bool), lambda j: self._finished(j, False))
+        return self.results
+
+
+def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
+    """Train many (h, alpha) pairs in lockstep on rows of one feature table.
+
+    Each fit trains exactly as `train` would train it alone, bit for bit:
+    fits that share h and alpha architectures, loss formula and row count
+    form one stack with a leading model axis on parameters, activations,
+    gradients and Adam moments, so each mini-batch step is one batched call
+    per layer for the whole stack. Every fit keeps its own random stream,
+    early stopping and best-epoch snapshot, and leaves the stack when it
+    stops. `cfg.seed` is not read; each fit carries its own seed.
+
+    Returns, per fit in order, (TrainedModel, TrainReport) or the
+    NumericError that stopped it; the other fits carry on.
+    """
+    table = np.asarray(table, dtype=float)
+    groups: dict = {}
+    for i, fit in enumerate(fits):
+        n = np.shape(fit.rows)[0] if np.ndim(fit.rows) == 1 else -1
+        if n < 0 or np.shape(fit.targets) != (n,):
+            raise ShapeError("fit rows and targets must be aligned 1-D arrays")
+        if n == 0:
+            raise ConfigError("training data is empty")
+        if fit.loss.needs_alpha and fit.alpha is None:
+            raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
+        if not fit.loss.needs_alpha and fit.alpha is not None:
+            raise ConfigError(f"loss kind {fit.loss.kind!r} does not take an alpha network")
+        n_train = split_sizes(n, cfg.validation_fraction)[1]
+        if cfg.batch_size > n_train:
+            raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
+        key = (fit.h.layers, None if fit.alpha is None else fit.alpha.layers,
+               fit.loss.formula, n)
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(fits)
+    for members in groups.values():
+        outcomes = _Lockstep(table, [fits[i] for i in members], cfg).run()
+        for i, outcome in zip(members, outcomes):
+            results[i] = outcome
+    return results
+
+
 def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
           loss: LossSpec, cfg: TrainConfig) -> tuple[TrainedModel, TrainReport]:
     """Joint mini-batch Adam training of h (and alpha when the loss needs it).
@@ -284,100 +503,18 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
     validation loss has failed to improve on its best by more than
     improvement_tolerance for `patience` consecutive epochs; the returned
     weights are those of the best-validation epoch. An epoch whose training
-    loss is not finite raises NumericError.
+    loss is not finite raises NumericError. This is the one-fit case of
+    `train_stack`.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ShapeError("features must be (n, d) aligned with targets (n,)")
-    if features.shape[0] == 0:
-        raise ConfigError("training data is empty")
-    if loss.needs_alpha and alpha is None:
-        raise ConfigError(f"loss kind {loss.kind!r} requires an alpha network")
-    if not loss.needs_alpha and alpha is not None:
-        raise ConfigError(f"loss kind {loss.kind!r} does not take an alpha network")
-
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(features.shape[0])
-    n_val, n_train = split_sizes(features.shape[0], cfg.validation_fraction)
-    if cfg.batch_size > n_train:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    X_train, y_train = features[train_idx], targets[train_idx]
-    X_val, y_val = features[val_idx], targets[val_idx]
-
-    h = h.copy()
-    alpha = alpha.copy() if alpha is not None else None
-    nets = [net for net in (h, alpha) if net is not None]
-    grads = [np.empty_like(net.params) for net in nets]
-    grad_views = [_layer_views(grad, net.layers) for net, grad in zip(nets, grads)]
-    moments = [(np.zeros_like(grad), np.zeros_like(grad)) for grad in grads]
-    b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
-
-    def val_loss() -> float:
-        if X_val.shape[0] == 0:
-            return float("nan")
-        z = forward_batch(h, X_val)
-        a = forward_batch(alpha, X_val) if alpha is not None else np.zeros_like(z)
-        return float(np.mean(loss_value(loss, z, a, y_val)))
-
-    best_val = np.inf
-    best = [net.params.copy() for net in nets]
-    flat_epochs = 0
-    stopped_early = False
-    steps = 0
-    train_trace: list[float] = []
-    val_trace: list[float] = []
-
-    for _ in range(cfg.max_epochs):
-        perm = rng.permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            Xb, yb = X_train[batch], y_train[batch]
-            caches = [_forward_cached(net, Xb) for net in nets]
-            z = caches[0][0][:, 0]
-            a = caches[1][0][:, 0] if alpha is not None else np.zeros_like(z)
-            epoch_loss += float(np.sum(loss_value(loss, z, a, yb)))
-            douts = loss_gradients(loss, z, a, yb)
-            scale = 1.0 / batch.size
-            steps += 1
-            corr1 = 1.0 - b1 ** steps
-            corr2 = 1.0 - b2 ** steps
-            for net, (_, inputs, preacts), dout, grad, views, (m, v) in zip(
-                    nets, caches, douts, grads, grad_views, moments):
-                _backprop(net, inputs, preacts, dout * scale, views)
-                # Adam (Kingma & Ba, 2015) over the network's whole parameter vector
-                m *= b1
-                m += (1.0 - b1) * grad
-                v *= b2
-                v += (1.0 - b2) * grad * grad
-                net.params -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-        if not np.isfinite(epoch_loss):
-            raise NumericError(f"non-finite training loss in epoch {len(train_trace) + 1}")
-        train_trace.append(epoch_loss / n_train)
-        current = val_loss()
-        val_trace.append(current)
-        if current < best_val:
-            best = [net.params.copy() for net in nets]
-        if current < best_val - cfg.improvement_tolerance:
-            flat_epochs = 0
-        else:
-            flat_epochs += 1
-        best_val = min(best_val, current)
-        if flat_epochs >= cfg.patience:
-            stopped_early = True
-            break
-
-    for net, params in zip(nets, best):
-        net.params[:] = params
-    report = TrainReport(
-        epochs_run=len(train_trace),
-        train_loss_trace=train_trace,
-        val_loss_trace=val_trace,
-        stopped_early=stopped_early,
-    )
-    return TrainedModel(h=h, alpha=alpha, loss=loss), report
+    fit = Fit(h, alpha, np.arange(features.shape[0]), targets, loss, cfg.seed)
+    (outcome,) = train_stack(features, [fit], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def one_hot_encode(levels: np.ndarray, level_counts) -> np.ndarray:

@@ -159,7 +159,7 @@ class Dataset:
             raise SchemaError("covariates and outcomes have different row counts")
         if self.covariates.shape[1] != len(self.covariate_names):
             raise SchemaError("covariate column count does not match names")
-        if not np.isin(self.outcomes, (0, 1)).all():
+        if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary")
 
     @property

@@ -163,6 +163,9 @@ class TestConfigBounds:
         ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "bias", "n_sample", 12, "batch_size 12"),
+        ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
+        ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),
+        ("sweep", "train", "adam_epsilon", float("inf"), "train.adam_epsilon"),
     ])
     def test_value_that_fails_every_run_exits_2(self, tmp_path, capsys, command, section,
                                                  key, value, message):

@@ -120,7 +120,7 @@ class TestMethodSpec:
         def no_fit(*args, **kwargs):
             raise AssertionError("a network was trained")
 
-        monkeypatch.setattr("drureg.harness.train", no_fit)
+        monkeypatch.setattr("drureg.harness.train_stack", no_fit)
         monkeypatch.setattr("drureg.harness.generate_population", no_fit)
         pops, biases, cfg = small_setup()
         with pytest.raises(ConfigError, match="mrp"):
@@ -136,13 +136,15 @@ class TestMethodMapping:
     def test_every_method_fits_its_loss_and_widths(self, monkeypatch):
         fits = []
 
-        def recording_train(h, alpha, features, targets, loss, cfg):
-            meta = None if loss.meta is None else (loss.meta.gamma, loss.meta.direction)
-            fits.append((loss.kind, meta, loss.pinball_p, h.layers[0].output_width,
-                         None if alpha is None else alpha.layers[0].output_width))
-            return SimpleNamespace(predict=lambda x: np.full(len(x), 0.5)), None
+        def recording_train_stack(table, stack, cfg):
+            for fit in stack:
+                loss, alpha = fit.loss, fit.alpha
+                meta = None if loss.meta is None else (loss.meta.gamma, loss.meta.direction)
+                fits.append((loss.kind, meta, loss.pinball_p, fit.h.layers[0].output_width,
+                             None if alpha is None else alpha.layers[0].output_width))
+            return [(SimpleNamespace(predict=lambda x: np.full(len(x), 0.5)), None)] * len(stack)
 
-        monkeypatch.setattr("drureg.harness.train", recording_train)
+        monkeypatch.setattr("drureg.harness.train_stack", recording_train_stack)
         monkeypatch.setattr("drureg.harness.estimate_true_meta",
                             lambda sample, population, t, min_cell_rows: self.informed[t])
         pops, biases, cfg = small_setup()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,19 @@ from drureg.errors import ConfigError, NumericError, ShapeError
 from drureg.losses import LossSpec, MetaInfo
 from drureg.nn import (
     MLP,
+    Fit,
     LayerSpec,
     TrainConfig,
+    _layer_views,
     backward,
     forward,
     forward_batch,
     init_mlp,
     mlp_architecture,
     one_hot_encode,
+    split_sizes,
     train,
+    train_stack,
 )
 
 
@@ -101,6 +107,15 @@ class TestFlatLayout:
         assert net.params[12 + 4 + 2 * 4 + 3] == -1.0
         assert net.params[-1] == -2.0
 
+    def test_stacked_views_keep_the_model_axis(self):
+        layers = mlp_architecture(3, 4)
+        stack = np.arange(3 * 41, dtype=float).reshape(3, 41)
+        views = _layer_views(stack, layers)
+        for m in range(3):
+            for (w, b), (w_m, b_m) in zip(views, _layer_views(stack[m], layers)):
+                assert np.array_equal(w[m], w_m) and np.array_equal(b[m], b_m)
+        assert all(np.shares_memory(w, stack) and np.shares_memory(b, stack) for w, b in views)
+
     def test_rebinding_a_layer_raises(self):
         net = init_mlp(mlp_architecture(3, 4), seed=0)
         with pytest.raises(TypeError):
@@ -186,6 +201,11 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             train(h, alpha, X, y, spec, TrainConfig(learning_rate=1e300, seed=6))
 
+    @pytest.mark.parametrize("field", ["learning_rate", "improvement_tolerance"])
+    def test_nan_rate_rejected(self, field):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: float("nan")})
+
     def test_alpha_presence_must_match_loss(self, rng):
         X = rng.random((40, 2))
         y = rng.random(40)
@@ -208,6 +228,100 @@ class TestTrain:
                              LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=1)), cfg)
         plain_model, _ = train(h, None, X, y, LossSpec("squared"), cfg)
         assert np.abs(dru_model.predict(X) - plain_model.predict(X)).max() < 1e-6
+
+
+STACK_LOSSES = [
+    (LossSpec("squared"), 4),
+    (LossSpec("squared"), 8),
+    (LossSpec("ru", meta=MetaInfo(gamma=1.8, direction=0)), 4),
+    (LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)), 4),
+    (LossSpec("dru", meta=MetaInfo(gamma=3.0, direction=-1)), 4),
+    (LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)), 8),
+    (LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=0)), 4),
+    (LossSpec("pinball", pinball_p=0.3), 8),
+    (LossSpec("pinball", pinball_p=0.7), 4),
+]
+
+
+class TestTrainStack:
+    """Every fit of a stack trains bit for bit as a one-fit call would."""
+
+    # 12 one-hot cells of two covariates (3 x 4 levels), 7 columns
+    table = one_hot_encode(np.indices((3, 4)).reshape(2, -1).T, (3, 4))
+
+    def make_fit(self, rng, loss, width, n=137, scale=1.0):
+        seeds = rng.integers(2**31, size=3)
+        h = init_mlp(mlp_architecture(7, width), seed=int(seeds[0]))
+        alpha = None
+        if loss.needs_alpha:
+            alpha = init_mlp(mlp_architecture(7, 4, output_activation="relu"), seed=int(seeds[1]))
+        rows = rng.integers(0, len(self.table), size=n)
+        targets = (rng.random(n) < 0.2 + 0.05 * rows).astype(float) * scale
+        return Fit(h, alpha, rows, targets, loss, int(seeds[2]))
+
+    def solo(self, fit, cfg):
+        return train(fit.h, fit.alpha, self.table[fit.rows], fit.targets, fit.loss,
+                     replace(cfg, seed=fit.seed))
+
+    @staticmethod
+    def assert_same(stacked, solo):
+        (model, report), (solo_model, solo_report) = stacked, solo
+        assert model.h.params.tobytes() == solo_model.h.params.tobytes()
+        if solo_model.alpha is None:
+            assert model.alpha is None
+        else:
+            assert model.alpha.params.tobytes() == solo_model.alpha.params.tobytes()
+        assert model.to_json() == solo_model.to_json()
+        assert report == solo_report
+
+    def test_mixed_stack_matches_one_fit_calls(self, rng):
+        # two fits per loss and width, so stacks hold several models that
+        # stop at different epochs, plus one fit with its own row count;
+        # 137 rows leave 123 training rows, so every epoch ends on a partial batch
+        fits = [self.make_fit(rng, loss, width) for loss, width in STACK_LOSSES * 2]
+        fits.append(self.make_fit(rng, *STACK_LOSSES[3], n=90))
+        cfg = TrainConfig(max_epochs=25, patience=2)
+        outcomes = train_stack(self.table, fits, cfg)
+        reports = [report for _, report in outcomes]
+        assert len({r.epochs_run for r in reports}) > 3
+        assert any(r.stopped_early for r in reports)
+        for fit, outcome in zip(fits, outcomes):
+            self.assert_same(outcome, self.solo(fit, cfg))
+
+    def test_diverging_fit_fails_alone(self, rng):
+        loss = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
+        fits[1] = self.make_fit(rng, loss, 4, scale=1e200)
+        cfg = TrainConfig(max_epochs=6, patience=6)
+        with np.errstate(all="ignore"):
+            outcomes = train_stack(self.table, fits, cfg)
+            with pytest.raises(NumericError, match="training loss in epoch 1") as solo_error:
+                self.solo(fits[1], cfg)
+        assert isinstance(outcomes[1], NumericError)
+        assert str(outcomes[1]) == str(solo_error.value)
+        for k in (0, 2):
+            self.assert_same(outcomes[k], self.solo(fits[k], cfg))
+
+    def test_non_finite_validation_row_fails_alone(self, rng):
+        # an infinite feature row that only the validation split reads
+        table = np.vstack([self.table, np.full(7, np.inf)])
+        loss = LossSpec("squared")
+        fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
+        bad = fits[1]
+        cfg = TrainConfig(max_epochs=4, patience=4)
+        n_val, _ = split_sizes(137, cfg.validation_fraction)
+        val_positions = np.random.default_rng(bad.seed).permutation(137)[:n_val]
+        rows = bad.rows.copy()
+        rows[val_positions] = len(self.table)
+        fits[1] = replace(bad, rows=rows)
+        with np.errstate(all="ignore"):
+            outcomes = train_stack(table, fits, cfg)
+        assert isinstance(outcomes[1], NumericError)
+        assert str(outcomes[1]) == "non-finite activation in layer 0"
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 0"):
+            train(bad.h, None, table[rows], bad.targets, loss, replace(cfg, seed=bad.seed))
+        for k in (0, 2):
+            self.assert_same(outcomes[k], self.solo(fits[k], cfg))
 
 
 class TestSerialization:

@@ -100,6 +100,14 @@ class TestCellIndex:
             data.cell_index(["b"])
 
 
+class TestDataset:
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_binary_outcome_rejected(self, bad):
+        outcomes = np.array([[0, 1], [1, bad], [0, 0]], dtype=np.int64)
+        with pytest.raises(SchemaError, match="binary"):
+            Dataset(np.zeros((3, 1), dtype=np.int64), outcomes, ("a",), (2,))
+
+
 class TestGeneratePopulation:
     def test_half_means_concentrate(self):
         pop = generate_population(flat_spec(0.5))
