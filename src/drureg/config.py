@@ -85,8 +85,7 @@ def _scalar_types() -> dict:
 _SCALAR_TYPES = _scalar_types()
 
 # Smallest accepted value of numeric keys below which runs would fail.
-_MINIMUMS = {("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1,
-             ("sweep", "hidden_width"): 1, ("sweep", "meta_min_cell_rows"): 1}
+_MINIMUMS = {("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1}
 
 
 def _has_type(value, types) -> bool:

@@ -170,6 +170,11 @@ class SweepConfig:
     hidden_width: int = 4
     jobs: int = 1
 
+    def __post_init__(self) -> None:
+        for key in ("hidden_width", "meta_min_cell_rows"):
+            if not getattr(self, key) >= 1:  # also rejects NaN
+                raise ConfigError(f"sweep.{key} must be >= 1, got {getattr(self, key)!r}")
+
 
 def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
@@ -180,20 +185,6 @@ def _fit_regression(features: np.ndarray, y: np.ndarray, cell_features: np.ndarr
     a = np.column_stack([features, np.ones(features.shape[0])])
     beta, *_ = np.linalg.lstsq(a, y, rcond=None)
     return np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
-
-
-def _network_fit(cells: np.ndarray, y: np.ndarray, input_width: int, loss: LossSpec,
-                 width: int, sweep_cfg: SweepConfig, seed: int) -> Fit:
-    """h (hidden `width`) and, for the robust losses, an alpha net of the
-    sweep's hidden_width, to train on a sample's cell indices."""
-    h = init_mlp(mlp_architecture(input_width, width), seed=_derive_seed(seed, 0))
-    alpha = None
-    if loss.needs_alpha:
-        alpha = init_mlp(
-            mlp_architecture(input_width, sweep_cfg.hidden_width, output_activation="relu"),
-            seed=_derive_seed(seed, 1),
-        )
-    return Fit(h, alpha, cells, y, loss, _derive_seed(seed, 2))
 
 
 def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dict]]:
@@ -240,53 +231,50 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
             "cells": int(np.count_nonzero(populated)),
             "max_unseen_in_training": int(unseen),
         })
-        # Per method, each target's source of cell predictions in target
-        # order: a fit index, regression predictions, or the exception that
-        # ends the method there. Every network of the subset trains in one
-        # lockstep call.
+        # Pass 1: plan every network of the subset in method -> target order,
+        # each method's fits starting at first_fit[method_idx]; they all
+        # train in one lockstep call.
+        n_inputs, width = cell_features.shape[1], sweep_cfg.hidden_width
         fits: list[Fit] = []
-        plans: list[list] = []
+        first_fit: dict[int, int] = {}
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
-            plan: list = []
-            plans.append(plan)
+            if method.loss is None or (method.needs_meta and isinstance(informed, Exception)):
+                continue
+            first_fit[method_idx] = len(fits)
+            metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
+            for t in range(n_targets):
+                seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
+                loss = method.loss(metas[t])
+                h = init_mlp(mlp_architecture(n_inputs, width * method.width_factor),
+                             seed=_derive_seed(seed, 0))
+                alpha = None
+                if loss.needs_alpha:
+                    alpha = init_mlp(mlp_architecture(n_inputs, width, output_activation="relu"),
+                                     seed=_derive_seed(seed, 1))
+                fits.append(Fit(h, alpha, cells[t], targets[t], loss, _derive_seed(seed, 2)))
+        outcomes = train_stack(cell_features, fits, cfg) if fits else []
+        # Pass 2: score each method; it fails as a whole at its first
+        # failing target.
+        for method_idx, kind in enumerate(methods):
+            method = METHODS[kind]
             try:
                 if method.needs_meta and isinstance(informed, Exception):
                     raise informed
-                metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
+                method_records = []
                 for t in range(n_targets):
                     if method.loss is None:
-                        plan.append(_fit_regression(cell_features[cells[t]], targets[t],
-                                                    cell_features))
-                        continue
-                    seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
-                    plan.append(len(fits))
-                    fits.append(_network_fit(cells[t], targets[t], cell_features.shape[1],
-                                             method.loss(metas[t]),
-                                             sweep_cfg.hidden_width * method.width_factor,
-                                             sweep_cfg, seed))
-            except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
-                plan.append(exc)
-        outcomes = train_stack(cell_features, fits, cfg) if fits else []
-        for kind, plan in zip(methods, plans):
-            try:
-                method_records = []
-                for t, source in enumerate(plan):
-                    if isinstance(source, int):
-                        source = outcomes[source]
-                        if not isinstance(source, Exception):
-                            source = source[0].predict(cell_features)
-                    if isinstance(source, Exception):
-                        raise source
+                        estimates = _fit_regression(cell_features[cells[t]], targets[t],
+                                                    cell_features)
+                    else:
+                        outcome = outcomes[first_fit[method_idx] + t]
+                        if isinstance(outcome, Exception):
+                            raise outcome
+                        estimates = outcome[0].predict(cell_features)
                     method_records.append(RunRecord(
-                        replicate=replicate,
-                        subset=tuple(subset),
-                        method=kind,
-                        target=t,
-                        y_hat=poststratify(source, table),
-                        y_true=y_true[t],
-                        y_unweighted=y_unweighted[t],
-                    ))
+                        replicate=replicate, subset=tuple(subset), method=kind, target=t,
+                        y_hat=poststratify(estimates, table), y_true=y_true[t],
+                        y_unweighted=y_unweighted[t]))
                 records.extend(method_records)
             except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
                 failures.append(RunFailure(

@@ -210,6 +210,9 @@ class TrainConfig:
             raise ConfigError("validation_fraction must be in (0, 1)")
         if not (self.learning_rate > 0.0 and self.improvement_tolerance > 0.0):  # also NaN
             raise ConfigError("learning_rate and improvement_tolerance must be positive")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
+                and self.adam_epsilon > 0.0):  # also NaN
+            raise ConfigError("adam_beta1/adam_beta2 must be in [0, 1) and adam_epsilon positive")
 
 
 @dataclass

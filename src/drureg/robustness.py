@@ -154,8 +154,6 @@ def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
         raise ParameterError("signs must be -1 or +1")
     if meta.direction not in (-1, 1):
         raise ParameterError("meta.direction must be -1 or +1")
-    if meta.gamma == 1.0:
-        return _greedy_fill(losses.values, losses.probs, 1.0, np.ones_like(signs, dtype=bool))
     return _greedy_fill(losses.values, losses.probs, meta.gamma, signs == meta.direction)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -239,8 +240,13 @@ class Dataset:
             if header != expected:
                 missing = [c for c in expected if c not in header]
                 raise SchemaError(f"CSV header mismatch; missing columns {missing}")
-            rows = [[int(v) for v in row] for row in reader]
-        data = np.array(rows, dtype=np.int64).reshape(len(rows), len(expected))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+                try:
+                    data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+                    data = data.reshape(len(data), len(expected))
+                except ValueError as exc:
+                    raise SchemaError(f"malformed rows in {path}: {exc}") from exc
         return cls(
             covariates=data[:, : len(names)],
             outcomes=data[:, len(names): len(names) + n_targets],
@@ -286,9 +292,10 @@ def _sampling_weights_up(mu: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
     w0 = np.where(mu <= split,
                   (np.clip(split - mu, 0.0, 1.0) * g_inv + gamma * (1.0 - split)) / np.maximum(1.0 - mu, 1e-300),
                   gamma)
-    # degenerate cells (no outcome variation) cannot carry outcome bias
-    degenerate = (mu <= 0.0) | (mu >= 1.0)
-    return np.where(degenerate, 1.0, w1), np.where(degenerate, 1.0, w0)
+    # gamma = 1 allows no bias, and degenerate cells (no outcome variation)
+    # cannot carry any: both weights are exactly 1 there
+    unbiased = (gamma == 1.0) | (mu <= 0.0) | (mu >= 1.0)
+    return np.where(unbiased, 1.0, w1), np.where(unbiased, 1.0, w0)
 
 
 def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dataset:

@@ -139,6 +139,18 @@ class TestTrain:
         assert code == 2
         assert "target_7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda lines: [lines[0], "x" + lines[1][1:]] + lines[2:],  # a non-integer field
+        lambda lines: lines + ["1,0,1,0"],  # a row with too few fields
+    ], ids=["non_integer_field", "short_row"])
+    def test_malformed_dataset_exits_2(self, generated, tmp_path, capsys, corrupt):
+        data = generated / "sample_target_0.csv"
+        data.write_text("\n".join(corrupt(data.read_text().splitlines())) + "\n")
+        code = run("train", "--config", self._train_config(tmp_path, loss="squared"),
+                   "--data", data, "--out", tmp_path / "tr3")
+        assert code == 2
+        assert str(data) in capsys.readouterr().err
+
 
 class TestOracle:
     def test_reports_tiny_discrepancy(self, tmp_path, capsys):
@@ -166,6 +178,9 @@ class TestConfigBounds:
         ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
         ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),
         ("sweep", "train", "adam_epsilon", float("inf"), "train.adam_epsilon"),
+        ("sweep", "train", "adam_beta1", 1.0, "adam_beta1"),
+        ("sweep", "train", "adam_beta2", -0.5, "adam_beta2"),
+        ("sweep", "train", "adam_epsilon", 0.0, "adam_epsilon"),
     ])
     def test_value_that_fails_every_run_exits_2(self, tmp_path, capsys, command, section,
                                                  key, value, message):

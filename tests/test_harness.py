@@ -25,7 +25,7 @@ from drureg.harness import (
     summarize,
 )
 from drureg.losses import MetaInfo
-from drureg.nn import TrainConfig
+from drureg.nn import TrainConfig, split_sizes
 from drureg.robustness import eta
 from drureg.sampling import biased_sample, generate_population
 
@@ -165,6 +165,13 @@ class TestMethodMapping:
         ]
 
 
+class TestSweepConfig:
+    @pytest.mark.parametrize("key", ["hidden_width", "meta_min_cell_rows"])
+    def test_value_below_one_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"sweep.{key}"):
+            SweepConfig(**{key: 0})
+
+
 class TestRunSweep:
     def test_single_run_yields_one_record_per_target(self):
         pops, biases, cfg = small_setup()
@@ -189,6 +196,15 @@ class TestRunSweep:
         assert [f.method for f in result.failures] == ["nn_plain"]
         # the closed-form baseline does not train a network and still succeeds
         assert {r.method for r in result.records} == {"regression_poststrat"}
+
+    def test_one_batch_training_split_runs_every_method(self):
+        pops, biases, cfg = small_setup(n_replicates=2, n_population=5000, n_sample=13,
+                                        n_targets=5, directions=(1, -1, 1, -1, -1))
+        assert split_sizes(13, cfg.validation_fraction)[1] == cfg.batch_size == 12
+        result = run_sweep(pops, biases, [["gender", "age"]], list(METHOD_KINDS), cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=5)
+        assert not result.failures
+        assert len(result.records) == 2 * len(METHOD_KINDS) * 5
 
     def test_empty_inputs_rejected(self):
         pops, biases, cfg = small_setup()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, EstimationError, SchemaError
+from drureg.losses import MetaInfo
 from drureg.sampling import (
     BiasSpec,
     Dataset,
     PopulationSpec,
+    _sampling_weights_up,
     biased_sample,
     default_population_spec,
     estimate_true_meta,
@@ -126,6 +128,21 @@ class TestGeneratePopulation:
         assert np.array_equal(a.outcomes, b.outcomes)
 
 
+class TestSamplingWeights:
+    @given(mu=st.floats(0.0, 1.0), gamma=st.floats(1.0, 50.0))
+    @example(mu=0.0, gamma=3.0)
+    @example(mu=1.0, gamma=3.0)
+    @example(mu=1e-6, gamma=1.0)  # the generic formula gives w0 = 1 + 2.2e-16
+    def test_cell_mass_is_one_and_weights_stay_in_the_ratio_box(self, mu, gamma):
+        (w1,), (w0,) = _sampling_weights_up(np.array([mu]), gamma)
+        assert abs(mu * w1 + (1.0 - mu) * w0 - 1.0) <= 1e-12
+        if 0.0 < mu < 1.0:
+            for w in (w1, w0):
+                assert 1.0 / gamma - 1e-12 <= w <= gamma + 1e-12
+        if gamma == 1.0 or mu in (0.0, 1.0):
+            assert w1 == 1.0 and w0 == 1.0
+
+
 class TestBiasedSample:
     def test_gamma_one_is_unbiased_subsample(self):
         pop = generate_population(flat_spec(0.5))
@@ -232,6 +249,11 @@ class TestEstimateTrueMeta:
         meta = estimate_true_meta(sample, pop, 0)
         assert 1.6 <= meta.gamma <= 2.4
         assert meta.direction == 1
+
+    def test_population_against_itself_is_unbiased(self):
+        pop = generate_population(default_population_spec(n_population=20_000, seed=3))
+        metas = [estimate_true_meta(pop, pop, t) for t in range(pop.n_targets)]
+        assert metas == [MetaInfo(gamma=1.0, direction=0)] * pop.n_targets
 
     def test_error_when_no_cell_qualifies(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=19))
