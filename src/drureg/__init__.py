@@ -43,7 +43,6 @@ from .nn import (
     TrainedModel,
     TrainReport,
     backward,
-    forward,
     forward_batch,
     init_mlp,
     mlp_architecture,
@@ -57,8 +56,6 @@ from .robustness import (
     WorstCase,
     cvar,
     eta,
-    mean_shift,
-    quantile,
     sup_oracle_lp,
     worst_case_dru,
     worst_case_ru,

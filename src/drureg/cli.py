@@ -129,12 +129,7 @@ def cmd_train(args) -> int:
     features = one_hot_encode(data.covariates[:, cols], counts)
     y = data.outcomes[:, target].astype(float)
 
-    kind = model_cfg["loss"]
-    meta = None
-    if kind in ("ru", "dru"):
-        meta = MetaInfo(gamma=float(model_cfg["gamma"]), direction=int(model_cfg["direction"]))
-    loss = LossSpec(kind=kind, meta=meta,
-                    pinball_p=model_cfg["pinball_p"] if kind == "pinball" else None)
+    loss = LossSpec.from_dict({**model_cfg, "kind": model_cfg["loss"]})
 
     width = model_cfg["hidden_width"]
     h = init_mlp(mlp_architecture(features.shape[1], width), seed=_derive_seed(seed, 10))
@@ -153,7 +148,7 @@ def cmd_train(args) -> int:
                     ["model.json", "train_report.json"],
                     {"epochs_run": report.epochs_run, "stopped_early": report.stopped_early,
                      "data_rows": data.n_rows})
-    print(f"trained {kind} model for target {target}: {report.epochs_run} epochs"
+    print(f"trained {loss.kind} model for target {target}: {report.epochs_run} epochs"
           f"{' (early stop)' if report.stopped_early else ''}")
     return 0
 

@@ -82,6 +82,25 @@ class LossSpec:
             return "squared"
         return self.kind
 
+    def to_dict(self) -> dict:
+        """JSON form: the kind plus the parameters it takes."""
+        out = {"kind": self.kind}
+        if self.meta is not None:
+            out.update(gamma=self.meta.gamma, direction=self.meta.direction)
+        if self.pinball_p is not None:
+            out["pinball_p"] = self.pinball_p
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "LossSpec":
+        """The spec of a `to_dict` form; keys its kind does not take are ignored."""
+        kind = payload["kind"]
+        meta = None
+        if kind in ("ru", "dru"):
+            meta = MetaInfo(gamma=float(payload["gamma"]), direction=int(payload["direction"]))
+        pinball_p = float(payload["pinball_p"]) if kind == "pinball" else None
+        return cls(kind=kind, meta=meta, pinball_p=pinball_p)
+
 
 def _params(spec: LossSpec) -> tuple:
     """(gamma, direction, p) of a spec, with neutral values where it has none."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
-from .losses import LossColumns, LossSpec, MetaInfo, loss_terms
+from .losses import LossColumns, LossSpec, loss_terms
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -137,15 +137,6 @@ def _forward_cached(net, X: np.ndarray):
     return a, inputs, preacts
 
 
-def forward(net: MLP, x) -> float:
-    """Evaluate the network on one feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.input_width:
-        raise ShapeError(f"expected input of width {net.input_width}, got shape {x.shape}")
-    out = forward_batch(net, x[None, :])
-    return float(out[0])
-
-
 def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
     """Evaluate the network on an (n, input_width) matrix; returns (n,)."""
     X = np.asarray(X, dtype=float)
@@ -234,15 +225,10 @@ class TrainedModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return forward_batch(self.h, X)
 
-    def predict_alpha(self, X: np.ndarray) -> np.ndarray:
-        if self.alpha is None:
-            return np.zeros(np.asarray(X).shape[0])
-        return forward_batch(self.alpha, X)
-
     def to_json(self) -> str:
         payload = {
             "format_version": 1,
-            "loss": _loss_spec_to_dict(self.loss),
+            "loss": self.loss.to_dict(),
             "h": self.h.to_dict(),
             "alpha": self.alpha.to_dict() if self.alpha is not None else None,
         }
@@ -257,25 +243,8 @@ class TrainedModel:
         return cls(
             h=MLP.from_dict(payload["h"]),
             alpha=MLP.from_dict(alpha) if alpha is not None else None,
-            loss=_loss_spec_from_dict(payload["loss"]),
+            loss=LossSpec.from_dict(payload["loss"]),
         )
-
-
-def _loss_spec_to_dict(spec: LossSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.meta is not None:
-        out["gamma"] = spec.meta.gamma
-        out["direction"] = spec.meta.direction
-    if spec.pinball_p is not None:
-        out["pinball_p"] = spec.pinball_p
-    return out
-
-
-def _loss_spec_from_dict(payload: dict) -> LossSpec:
-    meta = None
-    if "gamma" in payload:
-        meta = MetaInfo(gamma=float(payload["gamma"]), direction=int(payload["direction"]))
-    return LossSpec(kind=payload["kind"], meta=meta, pinball_p=payload.get("pinball_p"))
 
 
 def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:

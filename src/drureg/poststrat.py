@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,30 +38,6 @@ class CellTable:
     def cell_levels(self) -> np.ndarray:
         """Level indices of every cell, one row per entry of `fractions`."""
         return np.indices(self.level_counts).reshape(len(self.level_counts), -1).T
-
-    def to_csv(self, path) -> None:
-        """The non-empty cells as (flat cell_id, fraction) rows."""
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell_id", "fraction"])
-            for cell in np.nonzero(self.fractions)[0]:
-                writer.writerow([int(cell), repr(float(self.fractions[cell]))])
-
-    @classmethod
-    def from_csv(cls, path, subset_names, level_counts) -> "CellTable":
-        fractions = np.zeros(int(np.prod(level_counts)))
-        with Path(path).open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["cell_id", "fraction"]:
-                raise SchemaError(f"unexpected cell table header {header}")
-            for cell_id, frac in reader:
-                cell = int(cell_id)
-                if not 0 <= cell < fractions.size:
-                    raise SchemaError(f"cell_id {cell} outside [0, {fractions.size})")
-                fractions[cell] = float(frac)
-        return cls(subset_names=tuple(subset_names), level_counts=tuple(level_counts),
-                   fractions=fractions)
 
 
 def build_cell_table(population: Dataset, covariate_subset) -> CellTable:

@@ -78,16 +78,6 @@ def eta(gamma: float) -> float:
     return gamma / (gamma + 1.0)
 
 
-def quantile(dist: DiscreteDistribution, level: float) -> float:
-    """Lower quantile: smallest support value whose CDF reaches `level`."""
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must be in (0, 1), got {level}")
-    order = np.argsort(dist.values, kind="stable")
-    cum = np.cumsum(dist.probs[order])
-    idx = int(np.searchsorted(cum, level - 1e-15))
-    return float(dist.values[order[min(idx, dist.values.size - 1)]])
-
-
 def cvar(dist: DiscreteDistribution, level: float) -> float:
     """Expectation over the top (1 - level) probability mass.
 
@@ -186,12 +176,3 @@ def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
     return float(-res.fun)
-
-
-def mean_shift(outcomes, probs, ratios) -> float:
-    """E_Q[y] - E_P[y] for a reweighting: used to check ex post whether a
-    directional worst case actually moves the mean to the announced side."""
-    outcomes = np.asarray(outcomes, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    return float(((ratios - 1.0) * probs) @ outcomes)

@@ -229,17 +229,24 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         path = Path(path)
-        sidecar = json.loads(path.with_suffix(".provenance.json").read_text())
-        names = tuple(sidecar["covariate_names"])
-        levels = tuple(int(c) for c in sidecar["level_counts"])
-        n_targets = int(sidecar["n_targets"])
+        sidecar_path = path.with_suffix(".provenance.json")
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+            names = tuple(sidecar["covariate_names"])
+            levels = tuple(int(c) for c in sidecar["level_counts"])
+            n_targets = int(sidecar["n_targets"])
+            provenance = sidecar["provenance"]
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+            raise SchemaError(f"malformed dataset sidecar {sidecar_path}: {exc!r}") from exc
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+            try:
+                header = next(csv.reader(fh), [])
+            except ValueError as exc:
+                raise SchemaError(f"unreadable CSV header in {path}: {exc}") from exc
             expected = list(names) + [f"target_{t}" for t in range(n_targets)] + ["cell_id"]
             if header != expected:
                 missing = [c for c in expected if c not in header]
-                raise SchemaError(f"CSV header mismatch; missing columns {missing}")
+                raise SchemaError(f"CSV header mismatch in {path}; missing columns {missing}")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
                 try:
@@ -252,7 +259,7 @@ class Dataset:
             outcomes=data[:, len(names): len(names) + n_targets],
             covariate_names=names,
             level_counts=levels,
-            provenance=sidecar["provenance"],
+            provenance=provenance,
         )
 
 

@@ -34,6 +34,29 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# Corruptions of a dataset CSV at `data`; each returns the file it broke.
+def edit_rows(edit):
+    def corrupt(data):
+        data.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
+        return data
+    return corrupt
+
+
+def edit_sidecar(edit):
+    def corrupt(data):
+        sidecar = data.with_suffix(".provenance.json")
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        return sidecar
+    return corrupt
+
+
+def edit_bytes(edit):
+    def corrupt(data):
+        data.write_bytes(edit(data.read_bytes()))
+        return data
+    return corrupt
+
+
 class TestGenerate:
     def test_writes_expected_files(self, toy_config, tmp_path):
         out = tmp_path / "gen"
@@ -140,16 +163,21 @@ class TestTrain:
         assert "target_7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", [
-        lambda lines: [lines[0], "x" + lines[1][1:]] + lines[2:],  # a non-integer field
-        lambda lines: lines + ["1,0,1,0"],  # a row with too few fields
-    ], ids=["non_integer_field", "short_row"])
+        edit_rows(lambda lines: [lines[0], "x" + lines[1][1:]] + lines[2:]),
+        edit_rows(lambda lines: lines + ["1,0,1,0"]),
+        edit_sidecar(lambda sidecar: {}),
+        edit_sidecar(lambda sidecar: {**sidecar, "level_counts": ["x"]}),
+        edit_bytes(lambda raw: b"\xff\xfe" + raw),
+        edit_bytes(lambda raw: b""),
+    ], ids=["non_integer_field", "short_row", "empty_sidecar", "non_integer_level_count",
+            "not_utf8", "empty_file"])
     def test_malformed_dataset_exits_2(self, generated, tmp_path, capsys, corrupt):
         data = generated / "sample_target_0.csv"
-        data.write_text("\n".join(corrupt(data.read_text().splitlines())) + "\n")
+        broken = corrupt(data)
         code = run("train", "--config", self._train_config(tmp_path, loss="squared"),
                    "--data", data, "--out", tmp_path / "tr3")
         assert code == 2
-        assert str(data) in capsys.readouterr().err
+        assert str(broken) in capsys.readouterr().err
 
 
 class TestOracle:
@@ -174,6 +202,7 @@ class TestConfigBounds:
         ("oracle", "oracle", "gamma_high", 0.5, "oracle.gamma_high"),
         ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
+        ("sweep", "sweep", "prev_sample_size", 0, "sweep.prev_sample_size"),
         ("sweep", "bias", "n_sample", 12, "batch_size 12"),
         ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
         ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),

@@ -13,7 +13,6 @@ from drureg.nn import (
     TrainConfig,
     _layer_views,
     backward,
-    forward,
     forward_batch,
     init_mlp,
     mlp_architecture,
@@ -35,21 +34,21 @@ class TestForward:
         net = init_mlp(mlp_architecture(3, 4), seed=0)
         for k in range(len(net.weights)):
             net.weights[k][:] = 0.0
-        assert forward(net, [1.0, -2.0, 0.5]) == 0.0
+        assert forward_batch(net, [[1.0, -2.0, 0.5]])[0] == 0.0
 
     def test_identity_single_layer(self):
         net = single_layer([1.0], 0.0)
-        assert forward(net, [3.0]) == 3.0
+        assert forward_batch(net, [[3.0]])[0] == 3.0
 
     def test_relu_affine_layer(self):
         net = single_layer([1.0, -1.0], 0.5, activation="relu")
-        assert forward(net, [0.2, 0.9]) == 0.0   # relu(0.2 - 0.9 + 0.5)
-        assert forward(net, [0.9, 0.2]) == pytest.approx(1.2, abs=1e-15)
+        assert forward_batch(net, [[0.2, 0.9]])[0] == 0.0   # relu(0.2 - 0.9 + 0.5)
+        assert forward_batch(net, [[0.9, 0.2]])[0] == pytest.approx(1.2, abs=1e-15)
 
     def test_dimension_mismatch(self):
         net = single_layer([1.0, -1.0], 0.5)
         with pytest.raises(ShapeError):
-            forward(net, [1.0, 2.0, 3.0])
+            forward_batch(net, [[1.0, 2.0, 3.0]])
 
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(NumericError, match="layer 0"):
@@ -63,7 +62,7 @@ class TestForward:
     def test_deterministic(self):
         net = init_mlp(mlp_architecture(4, 4), seed=3)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        assert forward(net, x) == forward(net, x)
+        assert forward_batch(net, [x])[0] == forward_batch(net, [x])[0]
 
 
 class TestBackward:
@@ -336,7 +335,7 @@ class TestSerialization:
 
         restored = TrainedModel.from_json(model.to_json())
         assert np.array_equal(restored.predict(X), model.predict(X))
-        assert np.array_equal(restored.predict_alpha(X), model.predict_alpha(X))
+        assert np.array_equal(forward_batch(restored.alpha, X), forward_batch(model.alpha, X))
         assert restored.loss == spec
 
 

@@ -115,18 +115,3 @@ class TestBuildCellTable:
         data = make_dataset([[0], [1]], ["a"], [2])
         with pytest.raises(SchemaError):
             build_cell_table(data, [])
-
-    def test_csv_round_trip(self, tmp_path):
-        columns = [[0, 1]] * 3 + [[1, 0]] * 7
-        data = make_dataset(columns, ["flag", "group"], [2, 3])
-        table = build_cell_table(data, ["flag", "group"])
-        path = tmp_path / "cells.csv"
-        table.to_csv(path)
-        assert path.read_text().splitlines() == ["cell_id,fraction", "1,0.3", "3,0.7"]
-        back = CellTable.from_csv(path, ["flag", "group"], [2, 3])
-        assert back.subset_names == table.subset_names
-        assert back.level_counts == table.level_counts
-        assert np.array_equal(back.fractions, table.fractions)
-        path.write_text("cell_id,fraction\n6,1.0\n")
-        with pytest.raises(SchemaError, match="outside"):
-            CellTable.from_csv(path, ["flag", "group"], [2, 3])
