@@ -33,7 +33,7 @@ from .config import (
     train_config_from_config,
     validate_config,
 )
-from .errors import DruRegError, InfeasibleError
+from .errors import ConfigError, DruRegError, InfeasibleError
 from .harness import _derive_seed, histogram_data, run_sweep, summarize
 from .losses import LossSpec, MetaInfo
 from .nn import init_mlp, mlp_architecture, one_hot_encode, train
@@ -65,6 +65,8 @@ def _resolve_common(args) -> tuple[dict, Path, int, int]:
         jobs = env_int("DRUREG_JOBS")
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ConfigError(f"--jobs (or DRUREG_JOBS) must be >= 1, got {jobs}")
     return resolved, Path(out_dir), int(seed), int(jobs)
 
 

@@ -171,7 +171,7 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for key in ("prev_sample_size", "hidden_width", "meta_min_cell_rows"):
+        for key in ("prev_sample_size", "hidden_width", "meta_min_cell_rows", "jobs"):
             if not getattr(self, key) >= 1:  # also rejects NaN
                 raise ConfigError(f"sweep.{key} must be >= 1, got {getattr(self, key)!r}")
 

@@ -115,7 +115,8 @@ def _columns(spec: LossSpec) -> "LossColumns":
 
 
 class LossColumns:
-    """The one implementation of every loss formula and its subgradients.
+    """The one implementation of every loss formula and its subgradients,
+    computed together in `terms`.
 
     Holds the parameters of M losses that share a formula. Each parameter is
     a plain float for one loss, or an (M, 1) column so that (M, B) batches
@@ -149,37 +150,31 @@ class LossColumns:
         """The stacked losses selected by `keep`."""
         return LossColumns(self.formula, *(col[keep] for col in self.params))
 
-    def _gate(self, diff):
-        """True where the dRU surcharge applies: the observation lies on the
-        announced side of the prediction (direction=+1: y above z; -1: y
-        below z). Boundary z == y counts as off."""
-        return diff * self.direction < 0.0
-
-    def value(self, diff, sq, a):
-        """Pointwise loss from the residual diff = z - y, sq = diff ** 2 and a."""
-        if self.formula == "squared":
-            return sq
-        if self.formula == "pinball":
-            return np.where(diff > 0.0, self.p, self.q) * sq
-        surcharge = self.hinge_coef * np.maximum(sq - a, 0.0)
-        if self.formula == "dru":
-            surcharge = surcharge * self._gate(diff)
-        return self.g_inv * sq + self.a_coef * a + surcharge
-
-    def gradients(self, diff, sq, a):
-        """(dLoss/dz, dLoss/da); for the formulas without a threshold,
-        dLoss/da is zero, or None when `a` is None."""
+    def terms(self, diff, sq, a):
+        """(loss, dLoss/dz, dLoss/da) pointwise from the residual diff = z - y,
+        sq = diff ** 2 and the threshold a. dLoss/da is zero for the formulas
+        without a threshold, or None when `a` is None."""
         if self.formula in ("squared", "pinball"):
             if self.formula == "squared":
-                dz = 2.0 * diff
+                value, dz = sq, 2.0 * diff
             else:
-                dz = 2.0 * np.where(diff > 0.0, self.p, np.where(diff < 0.0, self.q, 0.0)) * diff
-            return dz, None if a is None else np.zeros_like(a)
-        active = sq - a > 0.0
+                above = diff > 0.0
+                value = np.where(above, self.p, self.q) * sq
+                dz = 2.0 * np.where(above, self.p, np.where(diff < 0.0, self.q, 0.0)) * diff
+            return value, dz, None if a is None else np.zeros_like(a)
+        excess = sq - a
+        surcharge = self.hinge_coef * np.maximum(excess, 0.0)
+        active = excess > 0.0
         if self.formula == "dru":
-            active = active & self._gate(diff)
-        surcharge = self.hinge_coef * active
-        return 2.0 * diff * (self.g_inv + surcharge), self.a_coef - surcharge
+            # the surcharge applies where the observation lies on the announced
+            # side of the prediction (direction=+1: y above z; -1: y below z);
+            # the boundary z == y counts as off
+            gate = diff * self.direction < 0.0
+            surcharge = surcharge * gate
+            active = active & gate
+        slope = self.hinge_coef * active
+        return (self.g_inv * sq + self.a_coef * a + surcharge,
+                2.0 * diff * (self.g_inv + slope), self.a_coef - slope)
 
 
 def _residuals(z, a, y):
@@ -190,8 +185,7 @@ def _residuals(z, a, y):
 
 def loss_value(spec: LossSpec, z, a, y):
     """Evaluate the configured loss pointwise. `a` is ignored unless needed."""
-    diff, sq, a = _residuals(z, a, y)
-    return _columns(spec).value(diff, sq, a)
+    return _columns(spec).terms(*_residuals(z, a, y))[0]
 
 
 def loss_gradients(spec: LossSpec, z, a, y):
@@ -200,16 +194,14 @@ def loss_gradients(spec: LossSpec, z, a, y):
     At hinge and gate boundaries the inactive (lower) branch's gradient is
     returned; the indicators are treated as locally constant in z.
     """
-    diff, sq, a = _residuals(z, a, y)
-    return _columns(spec).gradients(diff, sq, a)
+    return _columns(spec).terms(*_residuals(z, a, y))[1:]
 
 
 def loss_terms(loss: LossColumns, z, a, y):
     """(loss, dLoss/dz, dLoss/da) of stacked losses in one pass; `a` is None
     for formulas without a threshold network."""
     diff = z - y
-    sq = diff ** 2
-    return (loss.value(diff, sq, a), *loss.gradients(diff, sq, a))
+    return loss.terms(diff, diff ** 2, a)
 
 
 def squared_loss(z, y):

@@ -3,8 +3,9 @@
 Two small networks are trained jointly: a predictor producing z = h(x) and an
 optional auxiliary network producing the non-negative threshold a = alpha(x)
 that the robust losses need. `train_stack` trains many such pairs in lockstep,
-batched along a leading model axis; `train` is its one-fit case. Everything is
-plain numpy and deterministic given seeds.
+batched along a leading model axis, with h and alpha as two rows of one
+buffer when their layer widths match; `train` is its one-fit case.
+Everything is plain numpy and deterministic given seeds.
 """
 
 from __future__ import annotations
@@ -33,10 +34,21 @@ class LayerSpec:
             raise ParameterError(f"unknown activation {self.activation!r}")
 
 
+def _floor(activations):
+    """A layer's activation as a floor under its pre-activations z: relu is
+    max(z, 0.0), identity None. Stacked rows that mix the two get a per-row
+    column with -inf for identity, as max(z, -inf) == z and z > -inf for finite z."""
+    if all(a == "identity" for a in activations):
+        return None
+    if all(a == "relu" for a in activations):
+        return 0.0
+    return np.array([0.0 if a == "relu" else -np.inf for a in activations])[:, None, None, None]
+
+
 def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W_k, b_k) views of a flat vector laid out as W_0 (row-major,
     shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients.
-    A leading model axis, as in an (M, P) buffer of M networks, is kept."""
+    Leading axes, as in an (F, M, P) buffer of stacked networks, are kept."""
     views, end = [], 0
     lead = flat.shape[:-1]
     for spec in layers:
@@ -79,6 +91,14 @@ class MLP:
     @property
     def input_width(self) -> int:
         return self.layers[0].input_width
+
+    @property
+    def output_width(self) -> int:
+        return self.layers[-1].output_width
+
+    @property
+    def floors(self) -> tuple:
+        return tuple(_floor((spec.activation,)) for spec in self.layers)
 
     def copy(self) -> "MLP":
         return MLP(self.layers, self.weights, self.biases, self.seed)
@@ -126,14 +146,14 @@ def _forward_cached(net, X: np.ndarray):
     """Forward pass over a batch, keeping per-layer inputs and pre-activations.
 
     `net` is an MLP with X of shape (n, in), or a _NetStack with X of shape
-    (M, n, in), one batch per network."""
+    (M, n, in), one batch per model, shared by the stack's F rows."""
     a = X
     inputs, preacts = [], []
-    for spec, w, b in zip(net.layers, net.weights, net.biases):
+    for w, b, floor in zip(net.weights, net.biases, net.floors):
         inputs.append(a)
         z = a @ w + b
         preacts.append(z)
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        a = z if floor is None else np.maximum(z, floor)
     return a, inputs, preacts
 
 
@@ -142,6 +162,8 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_width:
         raise ShapeError(f"expected (n, {net.input_width}) features, got shape {X.shape}")
+    if net.output_width != 1:
+        raise ShapeError(f"expected a network with one output, got {net.output_width}")
     out, _, preacts = _forward_cached(net, X)
     for k, z in enumerate(preacts):
         if not np.isfinite(z).all():
@@ -151,12 +173,13 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
 
 def _backprop(net, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
     """Write the gradients of sum_i dloss_dout[..., i] * net(x_i) into `grads`,
-    the per-layer (dW, db) views of one flat gradient buffer (with a leading
-    model axis for a _NetStack)."""
+    the per-layer (dW, db) views of one flat gradient buffer (with leading
+    (F, M) axes for a _NetStack)."""
     delta = dloss_dout[..., None]
     for k in range(len(net.layers) - 1, -1, -1):
-        if net.layers[k].activation == "relu":
-            delta = delta * (preacts[k] > 0.0)
+        floor = net.floors[k]
+        if floor is not None:
+            delta = delta * (preacts[k] > floor)
         dw, db = grads[k]
         np.matmul(inputs[k].swapaxes(-1, -2), delta, out=dw)
         np.add.reduce(delta, axis=-2, out=db)
@@ -268,32 +291,40 @@ class Fit:
     seed: int
 
 
-class _NetStack:
-    """M networks of one architecture trained in lockstep.
+def _widths(net: MLP) -> tuple:
+    return tuple((spec.input_width, spec.output_width) for spec in net.layers)
 
-    Their parameters are the rows of one (M, P) buffer; `weights` and
-    `biases` are per-layer views of it with a leading model axis (biases as
-    (M, 1, out), to broadcast over a batch), built once per stack rather
-    than per step. The gradient buffer and the Adam moments have the same
-    layout, so Adam stays six vector operations over the whole buffer.
+
+class _NetStack:
+    """F rows of M networks, all of one layer-width chain, trained in lockstep.
+
+    A row holds one network role (h, or alpha) of M fits. The parameters are
+    one (F, M, P) buffer; `weights` and `biases` are per-layer views of it
+    with leading (F, M) axes (biases as (F, M, 1, out), to broadcast over a
+    batch), built once per stack rather than per step. A layer whose rows
+    differ in activation gets a per-row floor (see `_floor`). The gradient
+    buffer and the Adam moments have the same layout, so Adam stays six
+    vector operations over the whole buffer.
     """
 
-    def __init__(self, nets) -> None:
-        self.layers = nets[0].layers
-        params = np.array([net.params for net in nets])
+    def __init__(self, rows) -> None:
+        self.layers = rows[0][0].layers
+        self.floors = tuple(_floor([spec.activation for spec in specs])
+                            for specs in zip(*(nets[0].layers for nets in rows)))
+        params = np.array([[net.params for net in nets] for nets in rows])
         self._set(params, np.zeros_like(params), np.zeros_like(params))
 
     def _set(self, params, m, v) -> None:
         self.params, self.m, self.v = params, m, v
         views = _layer_views(params, self.layers)
         self.weights = tuple(w for w, _ in views)
-        self.biases = tuple(b[:, None, :] for _, b in views)
+        self.biases = tuple(b[:, :, None, :] for _, b in views)
         self.grad = np.empty_like(params)
         self.grads = _layer_views(self.grad, self.layers)
 
     def take(self, keep) -> None:
-        """Keep only the networks selected by `keep`."""
-        self._set(self.params[keep], self.m[keep], self.v[keep])
+        """Keep only the models selected by `keep`."""
+        self._set(self.params[:, keep], self.m[:, keep], self.v[:, keep])
 
     def update(self, inputs, preacts, dout, corr1: float, corr2: float, cfg) -> None:
         """One Adam step (Kingma & Ba, 2015) from the loss gradient `dout`."""
@@ -308,8 +339,10 @@ class _NetStack:
 
 class _Lockstep:
     """Fits that share h and alpha architectures, loss formula and row count,
-    trained as one stack: the same batch schedule and step count for all,
-    while each keeps its own shuffles, early stopping and errors."""
+    trained in lockstep: the same batch schedule and step count for all,
+    while each keeps its own shuffles, early stopping and errors. h and
+    alpha are the two rows of one _NetStack when their layer widths match,
+    and two stacks otherwise."""
 
     def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
         self.table, self.fits, self.cfg = table, fits, cfg
@@ -322,9 +355,15 @@ class _Lockstep:
                                      orders, axis=1)
         self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
         self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
-        self.nets = [_NetStack([fit.h for fit in fits])]
+        by_role = [[fit.h for fit in fits]]
         if fits[0].alpha is not None:
-            self.nets.append(_NetStack([fit.alpha for fit in fits]))
+            by_role.append([fit.alpha for fit in fits])
+        if len(by_role) == 2 and _widths(fits[0].h) != _widths(fits[0].alpha):
+            self.nets = [_NetStack([nets]) for nets in by_role]
+        else:
+            self.nets = [_NetStack(by_role)]
+        # (stack, row) of each network of a fit: h, then alpha
+        self.roles = [(s, f) for s, net in enumerate(self.nets) for f in range(len(net.params))]
         self.loss = LossColumns.of([fit.loss for fit in fits])
         self.best = [net.params.copy() for net in self.nets]
         self.best_val = np.full(len(fits), np.inf)
@@ -343,7 +382,7 @@ class _Lockstep:
         self.active = self.active[keep]
         for net in self.nets:
             net.take(keep)
-        self.best = [best[keep] for best in self.best]
+        self.best = [best[:, keep] for best in self.best]
         self.loss = self.loss.take(keep)
         for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
             setattr(self, name, getattr(self, name)[keep])
@@ -353,12 +392,18 @@ class _Lockstep:
         fit = self.fits[self.active[j]]
         h = fit.h.copy()
         alpha = fit.alpha.copy() if fit.alpha is not None else None
-        for net, best in zip((h, alpha), self.best):
+        for net, best in zip((h, alpha), (row for snapshot in self.best for row in snapshot)):
             net.params[:] = best[j]
         train_trace, val_trace = self.traces[self.active[j]]
         report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
                              val_loss_trace=val_trace, stopped_early=stopped_early)
         return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
+
+    def _outputs(self, caches) -> tuple:
+        """(z, a), each (M, B), from the stacks' forward caches; a is None
+        without an alpha network."""
+        outputs = [caches[s][0][f, ..., 0] for s, f in self.roles]
+        return outputs[0], outputs[1] if len(outputs) > 1 else None
 
     def _epoch(self, steps: int) -> tuple[np.ndarray, int]:
         """One pass over every active fit's training rows; returns the summed
@@ -371,16 +416,18 @@ class _Lockstep:
         for start in range(0, self.n_train, bs):
             X = self.table[rows[:, start:start + bs]]
             caches = [_forward_cached(net, X) for net in nets]
-            a = caches[1][0][..., 0] if len(nets) > 1 else None
-            value, dz, da = loss_terms(self.loss, caches[0][0][..., 0], a,
-                                       targets[:, start:start + bs])
+            y = targets[:, start:start + bs]
+            value, dz, da = loss_terms(self.loss, *self._outputs(caches), y)
             epoch_loss += np.add.reduce(value, axis=1)
             scale = 1.0 / X.shape[1]
             steps += 1
             corr1 = 1.0 - cfg.adam_beta1 ** steps
             corr2 = 1.0 - cfg.adam_beta2 ** steps
-            for net, (_, inputs, preacts), dout in zip(nets, caches, (dz, da)):
-                net.update(inputs, preacts, dout * scale, corr1, corr2, cfg)
+            douts = [np.empty(out.shape[:-1]) for out, _, _ in caches]  # (F, M, B) each
+            for (s, f), grad in zip(self.roles, (dz, da)):
+                np.multiply(grad, scale, out=douts[s][f])
+            for net, (_, inputs, preacts), dout in zip(nets, caches, douts):
+                net.update(inputs, preacts, dout, corr1, corr2, cfg)
         return epoch_loss, steps
 
     def _validation_loss(self) -> np.ndarray:
@@ -392,11 +439,11 @@ class _Lockstep:
         caches = [_forward_cached(net, X) for net in self.nets]
         bad = np.full(self.active.size, -1)  # first non-finite layer, h's before alpha's
         for _, _, preacts in reversed(caches):
-            for k in range(len(preacts) - 1, -1, -1):
-                bad[~np.isfinite(preacts[k]).all(axis=(1, 2))] = k
-        a = caches[1][0][..., 0] if len(self.nets) > 1 else None
-        diff = caches[0][0][..., 0] - self.val_y
-        current = self.loss.value(diff, diff ** 2, a).mean(axis=1)
+            finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (K, F, M)
+            first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))
+            for row in first[::-1]:
+                bad = np.where(row >= 0, row, bad)
+        current = loss_terms(self.loss, *self._outputs(caches), self.val_y)[0].mean(axis=1)
         failed = bad >= 0
         self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
         return current[~failed]
@@ -417,7 +464,7 @@ class _Lockstep:
                 self.traces[i][1].append(float(value))
             improved = current < self.best_val
             for net, best in zip(self.nets, self.best):
-                best[improved] = net.params[improved]
+                best[:, improved] = net.params[:, improved]
             self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
                                         0, self.flat_epochs + 1)
             self.best_val = np.where(improved, current, self.best_val)
@@ -431,11 +478,11 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
     fits that share h and alpha architectures, loss formula and row count
-    form one stack with a leading model axis on parameters, activations,
-    gradients and Adam moments, so each mini-batch step is one batched call
-    per layer for the whole stack. Every fit keeps its own random stream,
-    early stopping and best-epoch snapshot, and leaves the stack when it
-    stops. `cfg.seed` is not read; each fit carries its own seed.
+    train together, with leading (network, model) axes on parameters,
+    activations, gradients and Adam moments, so each mini-batch step is one
+    batched call per layer for the whole group. Every fit keeps its own
+    random stream, early stopping and best-epoch snapshot, and leaves the
+    group when it stops. `cfg.seed` is not read; each fit carries its own seed.
 
     Returns, per fit in order, (TrainedModel, TrainReport) or the
     NumericError that stopped it; the other fits carry on.
@@ -452,6 +499,10 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
             raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
         if not fit.loss.needs_alpha and fit.alpha is not None:
             raise ConfigError(f"loss kind {fit.loss.kind!r} does not take an alpha network")
+        for role, net in (("h", fit.h), ("alpha", fit.alpha)):
+            if net is not None and (net.input_width, net.output_width) != (table.shape[1], 1):
+                raise ShapeError(f"{role} network maps {net.input_width} -> {net.output_width}"
+                                 f" widths; expected {table.shape[1]} features -> 1 output")
         n_train = split_sizes(n, cfg.validation_fraction)[1]
         if cfg.batch_size > n_train:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")

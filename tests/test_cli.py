@@ -221,6 +221,20 @@ class TestConfigBounds:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, jobs_argv, jobs_env", [
+        ("oracle", ["--jobs", 0], None),
+        ("sweep", ["--jobs", -3], None),
+        ("sweep", [], "0"),
+    ])
+    def test_jobs_below_one_exits_2(self, toy_config, tmp_path, capsys, monkeypatch, command,
+                                    jobs_argv, jobs_env):
+        if jobs_env is not None:
+            monkeypatch.setenv("DRUREG_JOBS", jobs_env)
+        out = tmp_path / "out"
+        assert run(command, "--config", toy_config, "--out", out, *jobs_argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_toy_sweep_cardinality_and_columns(self, toy_config, tmp_path):

@@ -166,7 +166,8 @@ class TestMethodMapping:
 
 
 class TestSweepConfig:
-    @pytest.mark.parametrize("key", ["prev_sample_size", "hidden_width", "meta_min_cell_rows"])
+    @pytest.mark.parametrize("key", ["prev_sample_size", "hidden_width", "meta_min_cell_rows",
+                                     "jobs"])
     def test_value_below_one_rejected(self, key):
         with pytest.raises(ConfigError, match=f"sweep.{key}"):
             SweepConfig(**{key: 0})

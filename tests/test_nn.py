@@ -5,12 +5,14 @@ import pytest
 
 from conftest import analytic_param_grads, fd_param_grads, max_rel_error, sample_smooth_instance
 from drureg.errors import ConfigError, NumericError, ShapeError
-from drureg.losses import LossSpec, MetaInfo
+from drureg.losses import LossSpec, MetaInfo, loss_gradients, loss_value
 from drureg.nn import (
     MLP,
     Fit,
     LayerSpec,
     TrainConfig,
+    TrainReport,
+    _forward_cached,
     _layer_views,
     backward,
     forward_batch,
@@ -48,6 +50,11 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = single_layer([1.0, -1.0], 0.5)
         with pytest.raises(ShapeError):
+            forward_batch(net, [[1.0, 2.0, 3.0]])
+
+    def test_output_width_other_than_one_rejected(self):
+        net = init_mlp((LayerSpec(3, 4), LayerSpec(4, 2, "identity")), seed=0)
+        with pytest.raises(ShapeError, match="one output"):
             forward_batch(net, [[1.0, 2.0, 3.0]])
 
     def test_nonfinite_parameters_rejected(self):
@@ -216,6 +223,21 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(h, alpha, X, y, LossSpec("squared"), TrainConfig())
 
+    @pytest.mark.parametrize("role, widths", [
+        ("h", (2, 1)), ("alpha", (2, 1)), ("h", (3, 2)), ("alpha", (3, 2)),
+    ], ids=["h_input", "alpha_input", "h_output", "alpha_output"])
+    def test_network_widths_checked_up_front(self, rng, role, widths):
+        # (input width, output width) of one network of a dRU fit on 3 features
+        X = rng.random((40, 3))
+        nets = {"h": mlp_architecture(3, 4), "alpha": mlp_architecture(3, 4, "relu")}
+        in_width, out_width = widths
+        nets[role] = (LayerSpec(in_width, 4),) + nets[role][1:-1] + (
+            LayerSpec(4, out_width, nets[role][-1].activation),)
+        h, alpha = (init_mlp(nets[name], seed=k) for k, name in enumerate(("h", "alpha")))
+        spec = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        with pytest.raises(ShapeError, match=f"^{role} network"):
+            train(h, alpha, X, rng.random(40), spec, TrainConfig(max_epochs=1))
+
     def test_dru_gamma_one_matches_squared_training(self, rng):
         # with gamma=1 the alpha terms vanish; h follows the same trajectory
         X = rng.random((100, 3))
@@ -227,6 +249,78 @@ class TestTrain:
                              LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=1)), cfg)
         plain_model, _ = train(h, None, X, y, LossSpec("squared"), cfg)
         assert np.abs(dru_model.predict(X) - plain_model.predict(X)).max() < 1e-6
+
+
+def reference_train(h, alpha, X, y, spec, cfg):
+    """`train` written out as a plain loop over one network pair: the seeded
+    split and per-epoch shuffles, forward and backward passes of each MLP,
+    Adam in its operation order, and the best-epoch snapshot."""
+    nets = [h.copy()] + ([alpha.copy()] if alpha is not None else [])
+    moments = [(np.zeros_like(net.params), np.zeros_like(net.params)) for net in nets]
+    rng = np.random.default_rng(cfg.seed)
+    n_val, n_train = split_sizes(len(y), cfg.validation_fraction)
+    order = rng.permutation(len(y))
+    val, fit_rows = order[:n_val], order[n_val:]
+
+    def outputs(rows):
+        out = [_forward_cached(net, X[rows])[0][:, 0] for net in nets]
+        return out[0], out[1] if alpha is not None else np.zeros(len(rows))
+
+    best = [net.params.copy() for net in nets]
+    best_val, flat, steps, stopped = np.inf, 0, 0, False
+    train_trace, val_trace = [], []
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for _ in range(cfg.max_epochs):
+        shuffled = fit_rows[rng.permutation(n_train)]
+        total = 0.0
+        for start in range(0, n_train, cfg.batch_size):
+            rows = shuffled[start:start + cfg.batch_size]
+            z, a = outputs(rows)
+            total += np.add.reduce(loss_value(spec, z, a, y[rows]))
+            steps += 1
+            corr1, corr2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
+            for net, (m, v), dout in zip(nets, moments, loss_gradients(spec, z, a, y[rows])):
+                grads = backward(net, X[rows], dout * (1.0 / len(rows)))
+                grad = np.concatenate([part.ravel() for pair in grads for part in pair])
+                m *= b1
+                m += (1.0 - b1) * grad
+                v *= b2
+                v += (1.0 - b2) * grad * grad
+                net.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
+                                                                 + cfg.adam_epsilon)
+        train_trace.append(float(total / n_train))
+        current = loss_value(spec, *outputs(val), y[val]).mean()
+        val_trace.append(float(current))
+        if current < best_val:
+            best = [net.params.copy() for net in nets]
+        flat = 0 if current < best_val - cfg.improvement_tolerance else flat + 1
+        best_val = min(best_val, current)
+        if flat >= cfg.patience:
+            stopped = True
+            break
+    report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
+                         val_loss_trace=val_trace, stopped_early=stopped)
+    return best, report
+
+
+@pytest.mark.parametrize("spec", [
+    LossSpec("squared"),
+    LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)),
+    LossSpec("dru", meta=MetaInfo(gamma=3.0, direction=-1)),
+    LossSpec("pinball", pinball_p=0.3),
+], ids=["squared", "dru_up", "dru_down", "pinball"])
+def test_train_matches_a_reference_loop(rng, spec):
+    # 60 rows leave 54 training rows, so every epoch ends on a partial batch
+    X = rng.random((60, 3))
+    y = (rng.random(60) < 0.4).astype(float)
+    h = init_mlp(mlp_architecture(3, 4), seed=31)
+    alpha = init_mlp(mlp_architecture(3, 4, "relu"), seed=32) if spec.needs_alpha else None
+    cfg = TrainConfig(max_epochs=3, patience=2, seed=33)
+    model, report = train(h, alpha, X, y, spec, cfg)
+    best, ref_report = reference_train(h, alpha, X, y, spec, cfg)
+    trained = [model.h] + ([model.alpha] if alpha is not None else [])
+    assert [net.params.tobytes() for net in trained] == [params.tobytes() for params in best]
+    assert report == ref_report
 
 
 STACK_LOSSES = [
@@ -301,10 +395,13 @@ class TestTrainStack:
         for k in (0, 2):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
 
-    def test_non_finite_validation_row_fails_alone(self, rng):
-        # an infinite feature row that only the validation split reads
+    @pytest.mark.parametrize("loss", [
+        LossSpec("squared"), LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)),
+    ], ids=["squared", "dru"])
+    def test_non_finite_validation_row_fails_alone(self, rng, loss):
+        # an infinite feature row that only the validation split reads; the
+        # dRU fits train h and alpha as the two rows of one stack
         table = np.vstack([self.table, np.full(7, np.inf)])
-        loss = LossSpec("squared")
         fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
         bad = fits[1]
         cfg = TrainConfig(max_epochs=4, patience=4)
@@ -318,7 +415,7 @@ class TestTrainStack:
         assert isinstance(outcomes[1], NumericError)
         assert str(outcomes[1]) == "non-finite activation in layer 0"
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 0"):
-            train(bad.h, None, table[rows], bad.targets, loss, replace(cfg, seed=bad.seed))
+            train(bad.h, bad.alpha, table[rows], bad.targets, loss, replace(cfg, seed=bad.seed))
         for k in (0, 2):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
 
