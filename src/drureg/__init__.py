@@ -45,6 +45,7 @@ from .nn import (
     backward,
     forward_batch,
     init_mlp,
+    init_networks,
     mlp_architecture,
     one_hot_encode,
     train,

@@ -36,7 +36,7 @@ from .config import (
 from .errors import ConfigError, DruRegError, InfeasibleError
 from .harness import _derive_seed, histogram_data, run_sweep, summarize
 from .losses import LossSpec, MetaInfo
-from .nn import init_mlp, mlp_architecture, one_hot_encode, train
+from .nn import init_networks, one_hot_encode, train
 from .robustness import DiscreteDistribution, sup_oracle_lp, worst_case_dru, worst_case_ru
 from .sampling import Dataset, biased_sample, generate_population
 
@@ -133,14 +133,10 @@ def cmd_train(args) -> int:
 
     loss = LossSpec.from_dict({**model_cfg, "kind": model_cfg["loss"]})
 
-    width = model_cfg["hidden_width"]
-    h = init_mlp(mlp_architecture(features.shape[1], width), seed=_derive_seed(seed, 10))
-    alpha = None
-    if loss.needs_alpha:
-        alpha = init_mlp(mlp_architecture(features.shape[1], width, output_activation="relu"),
-                         seed=_derive_seed(seed, 11))
-    model, report = train(h, alpha, features, y, loss,
-                          train_config_from_config(resolved, seed=_derive_seed(seed, 12)))
+    h, alpha = init_networks(features.shape[1], model_cfg["hidden_width"], loss,
+                             _derive_seed(seed, 10), _derive_seed(seed, 11))
+    model, report = train(h, alpha, features, y, loss, train_config_from_config(resolved),
+                          seed=_derive_seed(seed, 12))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(model.to_json())

@@ -38,8 +38,7 @@ DEFAULT_CONFIG = {
         "d_true": [1, -1, 1, -1, -1],
         "n_sample": 2000,
     },
-    # the training seed is derived per fit
-    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
+    "train": asdict(TrainConfig()),
     "methods": list(METHOD_KINDS),
     "covariate_subsets": [
         ["gender", "age", "area", "education", "employment", "past_vote"],
@@ -95,6 +94,13 @@ def _has_type(value, types) -> bool:
 def _is_finite(value) -> bool:
     """False for NaN and +-Infinity, which JSON config files may spell out."""
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _reject_repeats(key: str, values: list) -> None:
+    """A repeated entry would pool two runs, or two columns, under one name."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"config key {key} repeats {value!r}")
 
 
 def _merge_section(name: str, given: dict, defaults: dict) -> dict:
@@ -156,6 +162,7 @@ def validate_config(doc: dict) -> dict:
             and isinstance(pair[0], str) and isinstance(pair[1], int)
             for pair in covariates):
         raise ConfigError("population.covariates must be a list of [name, level_count] pairs")
+    _reject_repeats("population.covariates", [pair[0] for pair in covariates])
     shares = resolved["population"]["base_shares"]
     if not isinstance(shares, list) or not all(
             _has_type(s, (int, float)) and _is_finite(s) for s in shares):
@@ -164,10 +171,12 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("config key 'methods' must be a non-empty list")
     for kind in resolved["methods"]:
         lookup_method(kind)
+    _reject_repeats("methods", resolved["methods"])
     subsets = resolved["covariate_subsets"]
     if not isinstance(subsets, list) or not subsets or \
             not all(isinstance(s, list) and s for s in subsets):
         raise ConfigError("config key 'covariate_subsets' must be a list of non-empty lists")
+    _reject_repeats("covariate_subsets", subsets)
     return resolved
 
 
@@ -216,8 +225,8 @@ def bias_spec_from_config(resolved: dict, seed: int) -> BiasSpec:
                     n_sample=bias["n_sample"], seed=seed)
 
 
-def train_config_from_config(resolved: dict, seed: int = 0) -> TrainConfig:
-    return TrainConfig(seed=seed, **resolved["train"])
+def train_config_from_config(resolved: dict) -> TrainConfig:
+    return TrainConfig(**resolved["train"])
 
 
 def sweep_config_from_config(resolved: dict, jobs: int) -> SweepConfig:

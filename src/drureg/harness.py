@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedScoreError
 from .losses import LossSpec, MetaInfo
-from .nn import (Fit, TrainConfig, init_mlp, mlp_architecture, one_hot_encode, split_sizes,
-                 train_stack)
+from .nn import Fit, TrainConfig, init_networks, one_hot_encode, split_sizes, train_stack
 from .poststrat import build_cell_table, poststratify
 from .robustness import eta
 from .sampling import BiasSpec, biased_sample, estimate_true_meta, generate_population
@@ -53,7 +52,7 @@ class Method:
     needs_meta      whether the loss reads the informed meta estimates
     reverse_gamma   cross-target transform: reverse the gamma vector
     flip_d          cross-target transform: flip every direction
-    width_factor    multiplier on sweep hidden_width for the predictor h
+    width_factor    multiplier on sweep hidden_width for h and alpha
     """
 
     loss: Callable[[MetaInfo | None], LossSpec] | None
@@ -234,7 +233,6 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
         # Pass 1: plan every network of the subset in method -> target order,
         # each method's fits starting at first_fit[method_idx]; they all
         # train in one lockstep call.
-        n_inputs, width = cell_features.shape[1], sweep_cfg.hidden_width
         fits: list[Fit] = []
         first_fit: dict[int, int] = {}
         for method_idx, kind in enumerate(methods):
@@ -243,15 +241,12 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                 continue
             first_fit[method_idx] = len(fits)
             metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
+            width = sweep_cfg.hidden_width * method.width_factor
             for t in range(n_targets):
                 seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
                 loss = method.loss(metas[t])
-                h = init_mlp(mlp_architecture(n_inputs, width * method.width_factor),
-                             seed=_derive_seed(seed, 0))
-                alpha = None
-                if loss.needs_alpha:
-                    alpha = init_mlp(mlp_architecture(n_inputs, width, output_activation="relu"),
-                                     seed=_derive_seed(seed, 1))
+                h, alpha = init_networks(cell_features.shape[1], width, loss,
+                                         _derive_seed(seed, 0), _derive_seed(seed, 1))
                 fits.append(Fit(h, alpha, cells[t], targets[t], loss, _derive_seed(seed, 2)))
         outcomes = train_stack(cell_features, fits, cfg) if fits else []
         # Pass 2: score each method; it fails as a whole at its first

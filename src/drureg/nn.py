@@ -4,7 +4,7 @@ Two small networks are trained jointly: a predictor producing z = h(x) and an
 optional auxiliary network producing the non-negative threshold a = alpha(x)
 that the robust losses need. `train_stack` trains many such pairs in lockstep,
 batched along a leading model axis, with h and alpha as two rows of one
-buffer when their layer widths match; `train` is its one-fit case.
+buffer; `train` is its one-fit case.
 Everything is plain numpy and deterministic given seeds.
 """
 
@@ -142,6 +142,16 @@ def init_mlp(layers: tuple[LayerSpec, ...], seed: int) -> MLP:
     return MLP(layers, weights, biases, seed)
 
 
+def init_networks(n_inputs: int, width: int, loss: LossSpec, h_seed: int,
+                  alpha_seed: int) -> tuple[MLP, MLP | None]:
+    """A fit's h, and alpha when the loss needs it, both of the default
+    architecture at one hidden width; alpha's relu output keeps a >= 0."""
+    h = init_mlp(mlp_architecture(n_inputs, width), h_seed)
+    if not loss.needs_alpha:
+        return h, None
+    return h, init_mlp(mlp_architecture(n_inputs, width, output_activation="relu"), alpha_seed)
+
+
 def _forward_cached(net, X: np.ndarray):
     """Forward pass over a batch, keeping per-layer inputs and pre-activations.
 
@@ -215,7 +225,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_epochs < 0 or self.patience < 0 or self.batch_size < 1:
@@ -341,8 +350,7 @@ class _Lockstep:
     """Fits that share h and alpha architectures, loss formula and row count,
     trained in lockstep: the same batch schedule and step count for all,
     while each keeps its own shuffles, early stopping and errors. h and
-    alpha are the two rows of one _NetStack when their layer widths match,
-    and two stacks otherwise."""
+    alpha are the two rows of one _NetStack."""
 
     def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
         self.table, self.fits, self.cfg = table, fits, cfg
@@ -355,17 +363,10 @@ class _Lockstep:
                                      orders, axis=1)
         self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
         self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
-        by_role = [[fit.h for fit in fits]]
-        if fits[0].alpha is not None:
-            by_role.append([fit.alpha for fit in fits])
-        if len(by_role) == 2 and _widths(fits[0].h) != _widths(fits[0].alpha):
-            self.nets = [_NetStack([nets]) for nets in by_role]
-        else:
-            self.nets = [_NetStack(by_role)]
-        # (stack, row) of each network of a fit: h, then alpha
-        self.roles = [(s, f) for s, net in enumerate(self.nets) for f in range(len(net.params))]
+        nets = [[fit.h for fit in fits], [fit.alpha for fit in fits]]
+        self.net = _NetStack(nets if fits[0].alpha is not None else nets[:1])
         self.loss = LossColumns.of([fit.loss for fit in fits])
-        self.best = [net.params.copy() for net in self.nets]
+        self.best = self.net.params.copy()
         self.best_val = np.full(len(fits), np.inf)
         self.flat_epochs = np.zeros(len(fits), dtype=int)
         self.active = np.arange(len(fits))
@@ -380,9 +381,8 @@ class _Lockstep:
             self.results[self.active[j]] = outcome(j)
         keep = ~leaving
         self.active = self.active[keep]
-        for net in self.nets:
-            net.take(keep)
-        self.best = [best[:, keep] for best in self.best]
+        self.net.take(keep)
+        self.best = self.best[:, keep]
         self.loss = self.loss.take(keep)
         for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
             setattr(self, name, getattr(self, name)[keep])
@@ -392,42 +392,41 @@ class _Lockstep:
         fit = self.fits[self.active[j]]
         h = fit.h.copy()
         alpha = fit.alpha.copy() if fit.alpha is not None else None
-        for net, best in zip((h, alpha), (row for snapshot in self.best for row in snapshot)):
+        for net, best in zip((h, alpha), self.best):
             net.params[:] = best[j]
         train_trace, val_trace = self.traces[self.active[j]]
         report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
                              val_loss_trace=val_trace, stopped_early=stopped_early)
         return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
 
-    def _outputs(self, caches) -> tuple:
-        """(z, a), each (M, B), from the stacks' forward caches; a is None
-        without an alpha network."""
-        outputs = [caches[s][0][f, ..., 0] for s, f in self.roles]
-        return outputs[0], outputs[1] if len(outputs) > 1 else None
+    @staticmethod
+    def _outputs(out) -> tuple:
+        """(z, a), each (M, B), from the stack's (F, M, B, 1) output; a is
+        None without an alpha network."""
+        return out[0, ..., 0], out[1, ..., 0] if len(out) > 1 else None
 
     def _epoch(self, steps: int) -> tuple[np.ndarray, int]:
         """One pass over every active fit's training rows; returns the summed
         training loss per fit and the step count so far."""
-        cfg, nets, bs = self.cfg, self.nets, self.cfg.batch_size
+        cfg, net, bs = self.cfg, self.net, self.cfg.batch_size
         perms = np.array([self.rngs[i].permutation(self.n_train) for i in self.active])
         rows = np.take_along_axis(self.train_rows, perms, axis=1)
         targets = np.take_along_axis(self.train_y, perms, axis=1)
         epoch_loss = np.zeros(self.active.size)
         for start in range(0, self.n_train, bs):
             X = self.table[rows[:, start:start + bs]]
-            caches = [_forward_cached(net, X) for net in nets]
+            out, inputs, preacts = _forward_cached(net, X)
             y = targets[:, start:start + bs]
-            value, dz, da = loss_terms(self.loss, *self._outputs(caches), y)
+            value, dz, da = loss_terms(self.loss, *self._outputs(out), y)
             epoch_loss += np.add.reduce(value, axis=1)
             scale = 1.0 / X.shape[1]
             steps += 1
             corr1 = 1.0 - cfg.adam_beta1 ** steps
             corr2 = 1.0 - cfg.adam_beta2 ** steps
-            douts = [np.empty(out.shape[:-1]) for out, _, _ in caches]  # (F, M, B) each
-            for (s, f), grad in zip(self.roles, (dz, da)):
-                np.multiply(grad, scale, out=douts[s][f])
-            for net, (_, inputs, preacts), dout in zip(nets, caches, douts):
-                net.update(inputs, preacts, dout, corr1, corr2, cfg)
+            dout = np.empty(out.shape[:-1])  # (F, M, B)
+            for row, grad in zip(dout, (dz, da)):
+                np.multiply(grad, scale, out=row)
+            net.update(inputs, preacts, dout, corr1, corr2, cfg)
         return epoch_loss, steps
 
     def _validation_loss(self) -> np.ndarray:
@@ -436,14 +435,11 @@ class _Lockstep:
         if self.n_val == 0:
             return np.full(self.active.size, np.nan)
         X = self.table[self.val_rows]
-        caches = [_forward_cached(net, X) for net in self.nets]
-        bad = np.full(self.active.size, -1)  # first non-finite layer, h's before alpha's
-        for _, _, preacts in reversed(caches):
-            finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (K, F, M)
-            first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))
-            for row in first[::-1]:
-                bad = np.where(row >= 0, row, bad)
-        current = loss_terms(self.loss, *self._outputs(caches), self.val_y)[0].mean(axis=1)
+        out, _, preacts = _forward_cached(self.net, X)
+        finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (K, F, M)
+        first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))  # (F, M)
+        bad = np.where(first[0] >= 0, first[0], first[-1])  # h's layer before alpha's
+        current = loss_terms(self.loss, *self._outputs(out), self.val_y)[0].mean(axis=1)
         failed = bad >= 0
         self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
         return current[~failed]
@@ -463,8 +459,7 @@ class _Lockstep:
             for i, value in zip(self.active, current):
                 self.traces[i][1].append(float(value))
             improved = current < self.best_val
-            for net, best in zip(self.nets, self.best):
-                best[:, improved] = net.params[:, improved]
+            self.best[:, improved] = self.net.params[:, improved]
             self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
                                         0, self.flat_epochs + 1)
             self.best_val = np.where(improved, current, self.best_val)
@@ -480,9 +475,9 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
     fits that share h and alpha architectures, loss formula and row count
     train together, with leading (network, model) axes on parameters,
     activations, gradients and Adam moments, so each mini-batch step is one
-    batched call per layer for the whole group. Every fit keeps its own
-    random stream, early stopping and best-epoch snapshot, and leaves the
-    group when it stops. `cfg.seed` is not read; each fit carries its own seed.
+    batched call per layer for the whole group. alpha must have h's layer
+    widths. Every fit keeps its own random stream, early stopping and
+    best-epoch snapshot, and leaves the group when it stops.
 
     Returns, per fit in order, (TrainedModel, TrainReport) or the
     NumericError that stopped it; the other fits carry on.
@@ -499,10 +494,12 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
             raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
         if not fit.loss.needs_alpha and fit.alpha is not None:
             raise ConfigError(f"loss kind {fit.loss.kind!r} does not take an alpha network")
-        for role, net in (("h", fit.h), ("alpha", fit.alpha)):
-            if net is not None and (net.input_width, net.output_width) != (table.shape[1], 1):
-                raise ShapeError(f"{role} network maps {net.input_width} -> {net.output_width}"
-                                 f" widths; expected {table.shape[1]} features -> 1 output")
+        if (fit.h.input_width, fit.h.output_width) != (table.shape[1], 1):
+            raise ShapeError(f"h network maps {fit.h.input_width} -> {fit.h.output_width} "
+                             f"widths; expected {table.shape[1]} features -> 1 output")
+        if fit.alpha is not None and _widths(fit.alpha) != _widths(fit.h):
+            raise ShapeError(f"alpha network has layer widths {_widths(fit.alpha)}; "
+                             f"expected h's {_widths(fit.h)}")
         n_train = split_sizes(n, cfg.validation_fraction)[1]
         if cfg.batch_size > n_train:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
@@ -511,29 +508,31 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(fits)
     for members in groups.values():
-        outcomes = _Lockstep(table, [fits[i] for i in members], cfg).run()
+        # a diverging fit overflows; it leaves its group with a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _Lockstep(table, [fits[i] for i in members], cfg).run()
         for i, outcome in zip(members, outcomes):
             results[i] = outcome
     return results
 
 
-def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray,
-          loss: LossSpec, cfg: TrainConfig) -> tuple[TrainedModel, TrainReport]:
+def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray, loss: LossSpec,
+          cfg: TrainConfig, seed: int = 0) -> tuple[TrainedModel, TrainReport]:
     """Joint mini-batch Adam training of h (and alpha when the loss needs it).
 
     The data are split 1 - validation_fraction / validation_fraction with a
-    seeded shuffle. Training stops at max_epochs, or early once the
-    validation loss has failed to improve on its best by more than
-    improvement_tolerance for `patience` consecutive epochs; the returned
-    weights are those of the best-validation epoch. An epoch whose training
-    loss is not finite raises NumericError. This is the one-fit case of
-    `train_stack`.
+    shuffle drawn from `seed`, which also draws every epoch's shuffle.
+    Training stops at max_epochs, or early once the validation loss has
+    failed to improve on its best by more than improvement_tolerance for
+    `patience` consecutive epochs; the returned weights are those of the
+    best-validation epoch. An epoch whose training loss is not finite raises
+    NumericError. This is the one-fit case of `train_stack`.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ShapeError("features must be (n, d) aligned with targets (n,)")
-    fit = Fit(h, alpha, np.arange(features.shape[0]), targets, loss, cfg.seed)
+    fit = Fit(h, alpha, np.arange(features.shape[0]), targets, loss, seed)
     (outcome,) = train_stack(features, [fit], cfg)
     if isinstance(outcome, Exception):
         raise outcome

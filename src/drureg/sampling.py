@@ -203,20 +203,14 @@ class Dataset:
         """CSV with covariate columns, one outcome column per target, and
         cell_id; a JSON provenance sidecar lands next to it."""
         path = Path(path)
-        cells = self.cell_index()
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+            csv.writer(fh).writerow(
                 list(self.covariate_names)
                 + [f"target_{t}" for t in range(self.n_targets)]
                 + ["cell_id"]
             )
-            for i in range(self.n_rows):
-                writer.writerow(
-                    [int(v) for v in self.covariates[i]]
-                    + [int(v) for v in self.outcomes[i]]
-                    + [int(cells[i])]
-                )
+            np.savetxt(fh, np.column_stack([self.covariates, self.outcomes, self.cell_index()]),
+                       fmt="%d", delimiter=",", newline="\r\n")
         sidecar = {
             "covariate_names": list(self.covariate_names),
             "level_counts": list(self.level_counts),

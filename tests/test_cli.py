@@ -221,6 +221,22 @@ class TestConfigBounds:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"methods": ["nn_plain", "nn_plain"]}, "methods repeats 'nn_plain'"),
+        ({"covariate_subsets": [["gender"], ["gender"]]}, "covariate_subsets repeats ['gender']"),
+        ({"population": {**TOY_CONFIG["population"], "covariates": [["gender", 2], ["gender", 3]]},
+          "covariate_subsets": [["gender"]]}, "population.covariates repeats 'gender'"),
+    ], ids=["method", "subset", "covariate"])
+    def test_repeated_entry_exits_2(self, tmp_path, capsys, edit, message):
+        # a repeated method or subset would pool two runs under one run key,
+        # and a repeated covariate name would resolve to its first column
+        cfg = tmp_path / "repeats.json"
+        cfg.write_text(json.dumps({**TOY_CONFIG, **edit}))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", out, "--jobs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, jobs_argv, jobs_env", [
         ("oracle", ["--jobs", 0], None),
         ("sweep", ["--jobs", -3], None),

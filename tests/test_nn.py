@@ -144,8 +144,8 @@ class TestTrain:
         X = rng.random((200, 3))
         y = np.full(200, 0.7)
         h = init_mlp(mlp_architecture(3, 4), seed=1)
-        cfg = TrainConfig(max_epochs=150, patience=20, improvement_tolerance=1e-7, seed=5)
-        model, report = train(h, None, X, y, LossSpec("squared"), cfg)
+        cfg = TrainConfig(max_epochs=150, patience=20, improvement_tolerance=1e-7)
+        model, report = train(h, None, X, y, LossSpec("squared"), cfg, seed=5)
         assert np.abs(model.predict(X) - 0.7).max() <= 0.05
         assert report.epochs_run <= cfg.max_epochs
 
@@ -153,8 +153,7 @@ class TestTrain:
         X = rng.random((30, 2))
         y = rng.random(30)
         h = init_mlp(mlp_architecture(2, 4), seed=2)
-        model, report = train(h, None, X, y, LossSpec("squared"),
-                              TrainConfig(max_epochs=0, seed=0))
+        model, report = train(h, None, X, y, LossSpec("squared"), TrainConfig(max_epochs=0))
         assert report.epochs_run == 0
         assert report.stopped_early is False
         assert report.train_loss_trace == [] and report.val_loss_trace == []
@@ -166,9 +165,8 @@ class TestTrain:
         h = init_mlp(mlp_architecture(3, 4), seed=9)
         alpha = init_mlp(mlp_architecture(3, 4, output_activation="relu"), seed=10)
         spec = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
-        cfg = TrainConfig(seed=11)
-        m1, r1 = train(h, alpha, X, y, spec, cfg)
-        m2, r2 = train(h, alpha, X, y, spec, cfg)
+        m1, r1 = train(h, alpha, X, y, spec, TrainConfig(), seed=11)
+        m2, r2 = train(h, alpha, X, y, spec, TrainConfig(), seed=11)
         assert r1.train_loss_trace == r2.train_loss_trace
         assert all(np.array_equal(a, b) for a, b in zip(m1.h.weights, m2.h.weights))
         assert all(np.array_equal(a, b) for a, b in zip(m1.alpha.weights, m2.alpha.weights))
@@ -177,7 +175,7 @@ class TestTrain:
         X = rng.random((60, 2))
         y = rng.random(60)
         h = init_mlp(mlp_architecture(2, 4), seed=4)
-        model, report = train(h, None, X, y, LossSpec("squared"), TrainConfig(seed=1))
+        model, report = train(h, None, X, y, LossSpec("squared"), TrainConfig(), seed=1)
         assert len(report.train_loss_trace) == report.epochs_run
         assert len(report.val_loss_trace) == report.epochs_run
         if not report.stopped_early:
@@ -205,7 +203,7 @@ class TestTrain:
             alpha = init_mlp(mlp_architecture(3, 4, output_activation="relu"), seed=5)
             spec = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
         with np.errstate(all="ignore"), pytest.raises(NumericError):
-            train(h, alpha, X, y, spec, TrainConfig(learning_rate=1e300, seed=6))
+            train(h, alpha, X, y, spec, TrainConfig(learning_rate=1e300), seed=6)
 
     @pytest.mark.parametrize("field", ["learning_rate", "improvement_tolerance"])
     def test_nan_rate_rejected(self, field):
@@ -224,15 +222,17 @@ class TestTrain:
             train(h, alpha, X, y, LossSpec("squared"), TrainConfig())
 
     @pytest.mark.parametrize("role, widths", [
-        ("h", (2, 1)), ("alpha", (2, 1)), ("h", (3, 2)), ("alpha", (3, 2)),
-    ], ids=["h_input", "alpha_input", "h_output", "alpha_output"])
+        ("h", (2, 4, 1)), ("alpha", (2, 4, 1)), ("h", (3, 4, 2)), ("alpha", (3, 4, 2)),
+        ("alpha", (3, 8, 1)),
+    ], ids=["h_input", "alpha_input", "h_output", "alpha_output", "alpha_hidden"])
     def test_network_widths_checked_up_front(self, rng, role, widths):
-        # (input width, output width) of one network of a dRU fit on 3 features
+        # (input, hidden, output) widths of one network of a dRU fit on 3
+        # features whose other network is 3 -> 4 -> 4 -> 1
         X = rng.random((40, 3))
         nets = {"h": mlp_architecture(3, 4), "alpha": mlp_architecture(3, 4, "relu")}
-        in_width, out_width = widths
-        nets[role] = (LayerSpec(in_width, 4),) + nets[role][1:-1] + (
-            LayerSpec(4, out_width, nets[role][-1].activation),)
+        in_width, hidden, out_width = widths
+        nets[role] = (LayerSpec(in_width, hidden), LayerSpec(hidden, hidden),
+                      LayerSpec(hidden, out_width, nets[role][-1].activation))
         h, alpha = (init_mlp(nets[name], seed=k) for k, name in enumerate(("h", "alpha")))
         spec = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
         with pytest.raises(ShapeError, match=f"^{role} network"):
@@ -244,20 +244,19 @@ class TestTrain:
         y = (rng.random(100) < 0.4).astype(float)
         h = init_mlp(mlp_architecture(3, 4), seed=21)
         alpha = init_mlp(mlp_architecture(3, 4, output_activation="relu"), seed=22)
-        cfg = TrainConfig(seed=23)
-        dru_model, _ = train(h, alpha, X, y,
-                             LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=1)), cfg)
-        plain_model, _ = train(h, None, X, y, LossSpec("squared"), cfg)
+        spec = LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=1))
+        dru_model, _ = train(h, alpha, X, y, spec, TrainConfig(), seed=23)
+        plain_model, _ = train(h, None, X, y, LossSpec("squared"), TrainConfig(), seed=23)
         assert np.abs(dru_model.predict(X) - plain_model.predict(X)).max() < 1e-6
 
 
-def reference_train(h, alpha, X, y, spec, cfg):
+def reference_train(h, alpha, X, y, spec, cfg, seed):
     """`train` written out as a plain loop over one network pair: the seeded
     split and per-epoch shuffles, forward and backward passes of each MLP,
     Adam in its operation order, and the best-epoch snapshot."""
     nets = [h.copy()] + ([alpha.copy()] if alpha is not None else [])
     moments = [(np.zeros_like(net.params), np.zeros_like(net.params)) for net in nets]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n_val, n_train = split_sizes(len(y), cfg.validation_fraction)
     order = rng.permutation(len(y))
     val, fit_rows = order[:n_val], order[n_val:]
@@ -315,9 +314,9 @@ def test_train_matches_a_reference_loop(rng, spec):
     y = (rng.random(60) < 0.4).astype(float)
     h = init_mlp(mlp_architecture(3, 4), seed=31)
     alpha = init_mlp(mlp_architecture(3, 4, "relu"), seed=32) if spec.needs_alpha else None
-    cfg = TrainConfig(max_epochs=3, patience=2, seed=33)
-    model, report = train(h, alpha, X, y, spec, cfg)
-    best, ref_report = reference_train(h, alpha, X, y, spec, cfg)
+    cfg = TrainConfig(max_epochs=3, patience=2)
+    model, report = train(h, alpha, X, y, spec, cfg, seed=33)
+    best, ref_report = reference_train(h, alpha, X, y, spec, cfg, seed=33)
     trained = [model.h] + ([model.alpha] if alpha is not None else [])
     assert [net.params.tobytes() for net in trained] == [params.tobytes() for params in best]
     assert report == ref_report
@@ -347,14 +346,15 @@ class TestTrainStack:
         h = init_mlp(mlp_architecture(7, width), seed=int(seeds[0]))
         alpha = None
         if loss.needs_alpha:
-            alpha = init_mlp(mlp_architecture(7, 4, output_activation="relu"), seed=int(seeds[1]))
+            alpha = init_mlp(mlp_architecture(7, width, output_activation="relu"),
+                             seed=int(seeds[1]))
         rows = rng.integers(0, len(self.table), size=n)
         targets = (rng.random(n) < 0.2 + 0.05 * rows).astype(float) * scale
         return Fit(h, alpha, rows, targets, loss, int(seeds[2]))
 
     def solo(self, fit, cfg):
-        return train(fit.h, fit.alpha, self.table[fit.rows], fit.targets, fit.loss,
-                     replace(cfg, seed=fit.seed))
+        return train(fit.h, fit.alpha, self.table[fit.rows], fit.targets, fit.loss, cfg,
+                     seed=fit.seed)
 
     @staticmethod
     def assert_same(stacked, solo):
@@ -415,7 +415,7 @@ class TestTrainStack:
         assert isinstance(outcomes[1], NumericError)
         assert str(outcomes[1]) == "non-finite activation in layer 0"
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 0"):
-            train(bad.h, bad.alpha, table[rows], bad.targets, loss, replace(cfg, seed=bad.seed))
+            train(bad.h, bad.alpha, table[rows], bad.targets, loss, cfg, seed=bad.seed)
         for k in (0, 2):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
 
@@ -427,7 +427,7 @@ class TestSerialization:
         h = init_mlp(mlp_architecture(2, 4), seed=6)
         alpha = init_mlp(mlp_architecture(2, 4, output_activation="relu"), seed=7)
         spec = LossSpec("ru", meta=MetaInfo(gamma=1.8, direction=0))
-        model, _ = train(h, alpha, X, y, spec, TrainConfig(max_epochs=2, seed=8))
+        model, _ = train(h, alpha, X, y, spec, TrainConfig(max_epochs=2), seed=8)
         from drureg.nn import TrainedModel
 
         restored = TrainedModel.from_json(model.to_json())

@@ -288,6 +288,13 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="target_1"):
             Dataset.from_csv(path)
 
+    def test_file_layout(self, tmp_path):
+        data = Dataset(covariates=np.array([[0, 2], [1, 0]]), outcomes=np.array([[1], [0]]),
+                       covariate_names=("gender", "age"), level_counts=(2, 3))
+        data.to_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"gender,age,target_0,cell_id\r\n0,2,1,2\r\n1,0,0,3\r\n")
+
     def test_byte_identical_writes(self, tmp_path):
         pop = generate_population(default_population_spec(n_population=300, seed=23))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
