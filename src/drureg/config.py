@@ -156,6 +156,8 @@ def validate_config(doc: dict) -> dict:
             isinstance(model_covariates, list)
             and all(isinstance(name, str) for name in model_covariates)):
         raise ConfigError("model.covariates must be null or a list of covariate names")
+    if model_covariates is not None:
+        _reject_repeats("model.covariates", model_covariates)
     covariates = resolved["population"]["covariates"]
     if not isinstance(covariates, list) or not covariates or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -177,6 +179,8 @@ def validate_config(doc: dict) -> dict:
             not all(isinstance(s, list) and s for s in subsets):
         raise ConfigError("config key 'covariate_subsets' must be a list of non-empty lists")
     _reject_repeats("covariate_subsets", subsets)
+    for subset in subsets:
+        _reject_repeats("covariate_subsets", subset)
     return resolved
 
 

@@ -295,6 +295,9 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     entries = [lookup_method(kind) for kind in methods]  # every kind, before any work
     if any(method.loss is not None for method in entries):
         n_sample = min(bias.n_sample for bias in bias_specs)
+        if n_sample < 2:
+            raise ConfigError(f"bias.n_sample must be >= 2 to train a network with a "
+                              f"validation row, got {n_sample}")
         n_train = split_sizes(n_sample, cfg.validation_fraction)[1]
         if n_train < cfg.batch_size:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {n_train}-row training "

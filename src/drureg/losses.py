@@ -74,14 +74,6 @@ class LossSpec:
     def needs_alpha(self) -> bool:
         return self.kind in ("ru", "dru")
 
-    @property
-    def formula(self) -> str:
-        """The formula this loss evaluates: dRU without a direction (which
-        requires gamma = 1) is the squared loss."""
-        if self.kind == "dru" and self.meta.direction == DIRECTION_NONE:
-            return "squared"
-        return self.kind
-
     def to_dict(self) -> dict:
         """JSON form: the kind plus the parameters it takes."""
         out = {"kind": self.kind}
@@ -111,26 +103,28 @@ def _params(spec: LossSpec) -> tuple:
 
 
 def _columns(spec: LossSpec) -> "LossColumns":
-    return LossColumns(spec.formula, *_params(spec))
+    return LossColumns(spec.kind, *_params(spec))
 
 
 class LossColumns:
     """The one implementation of every loss formula and its subgradients,
     computed together in `terms`.
 
-    Holds the parameters of M losses that share a formula. Each parameter is
+    Holds the parameters of M losses of one kind. Each parameter is
     a plain float for one loss, or an (M, 1) column so that (M, B) batches
     broadcast per model; the coefficients a formula needs (1/gamma,
     gamma - 1, ...) are computed once here. Every operation keeps the
     evaluation order of the written formulas, so a stacked loss gives
-    exactly the bits of its one-loss counterparts.
+    exactly the bits of its one-loss counterparts. dRU at gamma = 1 has
+    coefficients 1, 0 and 0: it evaluates to the squared loss, bit for bit
+    while a is finite, with dLoss/da = 0.
     """
 
-    def __init__(self, formula: str, gamma, direction, p) -> None:
-        self.formula = formula
+    def __init__(self, kind: str, gamma, direction, p) -> None:
+        self.kind = kind
         self.params = (gamma, direction, p)
         self.g_inv = 1.0 / gamma
-        if formula == "ru":
+        if kind == "ru":
             self.a_coef, self.hinge_coef = 1.0 - self.g_inv, gamma - self.g_inv
         else:
             self.a_coef, self.hinge_coef = gamma - 1.0, (gamma * gamma - 1.0) / gamma
@@ -139,23 +133,23 @@ class LossColumns:
 
     @classmethod
     def of(cls, specs) -> "LossColumns":
-        """Columns for specs that share one formula, in the given order."""
-        formulas = {spec.formula for spec in specs}
-        if len(formulas) != 1:
-            raise ParameterError(f"stacked losses need one formula, got {sorted(formulas)}")
+        """Columns for specs that share one kind, in the given order."""
+        kinds = {spec.kind for spec in specs}
+        if len(kinds) != 1:
+            raise ParameterError(f"stacked losses need one kind, got {sorted(kinds)}")
         params = zip(*(_params(spec) for spec in specs))
-        return cls(formulas.pop(), *(np.array(col, dtype=float)[:, None] for col in params))
+        return cls(kinds.pop(), *(np.array(col, dtype=float)[:, None] for col in params))
 
     def take(self, keep) -> "LossColumns":
         """The stacked losses selected by `keep`."""
-        return LossColumns(self.formula, *(col[keep] for col in self.params))
+        return LossColumns(self.kind, *(col[keep] for col in self.params))
 
     def terms(self, diff, sq, a):
         """(loss, dLoss/dz, dLoss/da) pointwise from the residual diff = z - y,
-        sq = diff ** 2 and the threshold a. dLoss/da is zero for the formulas
+        sq = diff ** 2 and the threshold a. dLoss/da is zero for the kinds
         without a threshold, or None when `a` is None."""
-        if self.formula in ("squared", "pinball"):
-            if self.formula == "squared":
+        if self.kind in ("squared", "pinball"):
+            if self.kind == "squared":
                 value, dz = sq, 2.0 * diff
             else:
                 above = diff > 0.0
@@ -165,7 +159,7 @@ class LossColumns:
         excess = sq - a
         surcharge = self.hinge_coef * np.maximum(excess, 0.0)
         active = excess > 0.0
-        if self.formula == "dru":
+        if self.kind == "dru":
             # the surcharge applies where the observation lies on the announced
             # side of the prediction (direction=+1: y above z; -1: y below z);
             # the boundary z == y counts as off
@@ -199,7 +193,7 @@ def loss_gradients(spec: LossSpec, z, a, y):
 
 def loss_terms(loss: LossColumns, z, a, y):
     """(loss, dLoss/dz, dLoss/da) of stacked losses in one pass; `a` is None
-    for formulas without a threshold network."""
+    for kinds without a threshold network."""
     diff = z - y
     return loss.terms(diff, diff ** 2, a)
 

@@ -155,8 +155,8 @@ def init_networks(n_inputs: int, width: int, loss: LossSpec, h_seed: int,
 def _forward_cached(net, X: np.ndarray):
     """Forward pass over a batch, keeping per-layer inputs and pre-activations.
 
-    `net` is an MLP with X of shape (n, in), or a _NetStack with X of shape
-    (M, n, in), one batch per model, shared by the stack's F rows."""
+    `net` is an MLP with X of shape (n, in), or a _Lockstep group with X of
+    shape (M, n, in), one batch per model, shared by the group's F rows."""
     a = X
     inputs, preacts = [], []
     for w, b, floor in zip(net.weights, net.biases, net.floors):
@@ -184,7 +184,7 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
 def _backprop(net, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
     """Write the gradients of sum_i dloss_dout[..., i] * net(x_i) into `grads`,
     the per-layer (dW, db) views of one flat gradient buffer (with leading
-    (F, M) axes for a _NetStack)."""
+    (F, M) axes for a _Lockstep group)."""
     delta = dloss_dout[..., None]
     for k in range(len(net.layers) - 1, -1, -1):
         floor = net.floors[k]
@@ -280,9 +280,9 @@ class TrainedModel:
 
 
 def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:
-    """(validation rows, training rows) that `train` splits n rows into."""
+    """(validation rows, training rows) that `train` splits n >= 2 rows into."""
     n_val = int(round(n * validation_fraction))
-    n_val = min(max(n_val, 1), n - 1) if n > 1 else 0
+    n_val = min(max(n_val, 1), n - 1)
     return n_val, n - n_val
 
 
@@ -304,53 +304,20 @@ def _widths(net: MLP) -> tuple:
     return tuple((spec.input_width, spec.output_width) for spec in net.layers)
 
 
-class _NetStack:
-    """F rows of M networks, all of one layer-width chain, trained in lockstep.
-
-    A row holds one network role (h, or alpha) of M fits. The parameters are
-    one (F, M, P) buffer; `weights` and `biases` are per-layer views of it
-    with leading (F, M) axes (biases as (F, M, 1, out), to broadcast over a
-    batch), built once per stack rather than per step. A layer whose rows
-    differ in activation gets a per-row floor (see `_floor`). The gradient
-    buffer and the Adam moments have the same layout, so Adam stays six
-    vector operations over the whole buffer.
-    """
-
-    def __init__(self, rows) -> None:
-        self.layers = rows[0][0].layers
-        self.floors = tuple(_floor([spec.activation for spec in specs])
-                            for specs in zip(*(nets[0].layers for nets in rows)))
-        params = np.array([[net.params for net in nets] for nets in rows])
-        self._set(params, np.zeros_like(params), np.zeros_like(params))
-
-    def _set(self, params, m, v) -> None:
-        self.params, self.m, self.v = params, m, v
-        views = _layer_views(params, self.layers)
-        self.weights = tuple(w for w, _ in views)
-        self.biases = tuple(b[:, :, None, :] for _, b in views)
-        self.grad = np.empty_like(params)
-        self.grads = _layer_views(self.grad, self.layers)
-
-    def take(self, keep) -> None:
-        """Keep only the models selected by `keep`."""
-        self._set(self.params[:, keep], self.m[:, keep], self.v[:, keep])
-
-    def update(self, inputs, preacts, dout, corr1: float, corr2: float, cfg) -> None:
-        """One Adam step (Kingma & Ba, 2015) from the loss gradient `dout`."""
-        _backprop(self, inputs, preacts, dout, self.grads)
-        b1, b2, m, v, grad = cfg.adam_beta1, cfg.adam_beta2, self.m, self.v, self.grad
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        self.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_epsilon)
-
-
 class _Lockstep:
-    """Fits that share h and alpha architectures, loss formula and row count,
+    """Fits that share h and alpha architectures, loss kind and row count,
     trained in lockstep: the same batch schedule and step count for all,
-    while each keeps its own shuffles, early stopping and errors. h and
-    alpha are the two rows of one _NetStack."""
+    while each keeps its own shuffles, early stopping and errors.
+
+    The group owns F rows of M networks: row 0 holds the fits' h, row 1
+    their alpha when the loss needs it. The parameters are one (F, M, P)
+    buffer; `weights` and `biases` are per-layer views of it with leading
+    (F, M) axes (biases as (F, M, 1, out), to broadcast over a batch),
+    rebuilt only when fits leave. A layer whose rows differ in activation
+    gets a per-row floor (see `_floor`). The Adam moments `m` and `v`, the
+    gradient buffer and the best-epoch snapshot `best` share that layout,
+    so Adam stays six vector operations over the whole buffer.
+    """
 
     def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
         self.table, self.fits, self.cfg = table, fits, cfg
@@ -364,14 +331,29 @@ class _Lockstep:
         self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
         self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
         nets = [[fit.h for fit in fits], [fit.alpha for fit in fits]]
-        self.net = _NetStack(nets if fits[0].alpha is not None else nets[:1])
+        nets = nets if fits[0].alpha is not None else nets[:1]
+        self.layers = fits[0].h.layers
+        self.floors = tuple(_floor([spec.activation for spec in specs])
+                            for specs in zip(*(row[0].layers for row in nets)))
+        self.params = np.array([[net.params for net in row] for row in nets])
+        self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
+        self.best = self.params.copy()
+        self._views()
         self.loss = LossColumns.of([fit.loss for fit in fits])
-        self.best = self.net.params.copy()
+        self.steps = 0
         self.best_val = np.full(len(fits), np.inf)
         self.flat_epochs = np.zeros(len(fits), dtype=int)
         self.active = np.arange(len(fits))
         self.traces = [([], []) for _ in fits]
         self.results: list = [None] * len(fits)
+
+    def _views(self) -> None:
+        """Per-layer views of the parameters and of a new gradient buffer."""
+        views = _layer_views(self.params, self.layers)
+        self.weights = tuple(w for w, _ in views)
+        self.biases = tuple(b[:, :, None, :] for _, b in views)
+        self.grad = np.empty_like(self.params)
+        self.grads = _layer_views(self.grad, self.layers)
 
     def _leave(self, leaving: np.ndarray, outcome) -> None:
         """Record `outcome(j)` for every stacked fit j in `leaving` and drop them."""
@@ -381,11 +363,12 @@ class _Lockstep:
             self.results[self.active[j]] = outcome(j)
         keep = ~leaving
         self.active = self.active[keep]
-        self.net.take(keep)
-        self.best = self.best[:, keep]
         self.loss = self.loss.take(keep)
+        for name in ("params", "m", "v", "best"):
+            setattr(self, name, getattr(self, name)[:, keep])
         for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
             setattr(self, name, getattr(self, name)[keep])
+        self._views()
 
     def _finished(self, j: int, stopped_early: bool):
         """The result of stacked fit j: its networks at their best epoch."""
@@ -399,57 +382,57 @@ class _Lockstep:
                              val_loss_trace=val_trace, stopped_early=stopped_early)
         return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
 
-    @staticmethod
-    def _outputs(out) -> tuple:
-        """(z, a), each (M, B), from the stack's (F, M, B, 1) output; a is
-        None without an alpha network."""
-        return out[0, ..., 0], out[1, ..., 0] if len(out) > 1 else None
+    def _pass(self, rows: np.ndarray, y: np.ndarray):
+        """Forward pass of every active fit over its feature-table rows (M, B),
+        then its loss terms against y (M, B): inputs, pre-activations and
+        (loss, dLoss/dz, dLoss/da), dLoss/da None without alpha."""
+        out, inputs, preacts = _forward_cached(self, self.table[rows])
+        a = out[1, ..., 0] if len(out) > 1 else None
+        return inputs, preacts, loss_terms(self.loss, out[0, ..., 0], a, y)
 
-    def _epoch(self, steps: int) -> tuple[np.ndarray, int]:
-        """One pass over every active fit's training rows; returns the summed
-        training loss per fit and the step count so far."""
-        cfg, net, bs = self.cfg, self.net, self.cfg.batch_size
+    def _epoch(self) -> np.ndarray:
+        """One pass over every active fit's training rows, one Adam step
+        (Kingma & Ba, 2015) per mini-batch; returns the summed training loss
+        per fit."""
+        cfg, bs = self.cfg, self.cfg.batch_size
+        b1, b2, m, v, grad = cfg.adam_beta1, cfg.adam_beta2, self.m, self.v, self.grad
         perms = np.array([self.rngs[i].permutation(self.n_train) for i in self.active])
         rows = np.take_along_axis(self.train_rows, perms, axis=1)
         targets = np.take_along_axis(self.train_y, perms, axis=1)
         epoch_loss = np.zeros(self.active.size)
         for start in range(0, self.n_train, bs):
-            X = self.table[rows[:, start:start + bs]]
-            out, inputs, preacts = _forward_cached(net, X)
-            y = targets[:, start:start + bs]
-            value, dz, da = loss_terms(self.loss, *self._outputs(out), y)
+            batch = rows[:, start:start + bs]
+            inputs, preacts, (value, dz, da) = self._pass(batch, targets[:, start:start + bs])
             epoch_loss += np.add.reduce(value, axis=1)
-            scale = 1.0 / X.shape[1]
-            steps += 1
-            corr1 = 1.0 - cfg.adam_beta1 ** steps
-            corr2 = 1.0 - cfg.adam_beta2 ** steps
-            dout = np.empty(out.shape[:-1])  # (F, M, B)
-            for row, grad in zip(dout, (dz, da)):
-                np.multiply(grad, scale, out=row)
-            net.update(inputs, preacts, dout, corr1, corr2, cfg)
-        return epoch_loss, steps
+            dout = np.array((dz,) if da is None else (dz, da)) * (1.0 / batch.shape[1])
+            _backprop(self, inputs, preacts, dout, self.grads)
+            self.steps += 1
+            corr1 = 1.0 - b1 ** self.steps
+            corr2 = 1.0 - b2 ** self.steps
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            self.params -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_epsilon)
+        return epoch_loss
 
     def _validation_loss(self) -> np.ndarray:
         """Mean validation loss per active fit; fits whose validation pass
         has a non-finite activation leave with a NumericError."""
-        if self.n_val == 0:
-            return np.full(self.active.size, np.nan)
-        X = self.table[self.val_rows]
-        out, _, preacts = _forward_cached(self.net, X)
+        _, preacts, (value, _, _) = self._pass(self.val_rows, self.val_y)
         finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (K, F, M)
         first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))  # (F, M)
         bad = np.where(first[0] >= 0, first[0], first[-1])  # h's layer before alpha's
-        current = loss_terms(self.loss, *self._outputs(out), self.val_y)[0].mean(axis=1)
         failed = bad >= 0
         self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
-        return current[~failed]
+        return value.mean(axis=1)[~failed]
 
     def run(self) -> list:
-        cfg, steps = self.cfg, 0
+        cfg = self.cfg
         for epoch in range(1, cfg.max_epochs + 1):
             if not self.active.size:
                 break
-            epoch_loss, steps = self._epoch(steps)
+            epoch_loss = self._epoch()
             finite = np.isfinite(epoch_loss)
             self._leave(~finite, lambda j: NumericError(
                 f"non-finite training loss in epoch {epoch}"))
@@ -459,7 +442,7 @@ class _Lockstep:
             for i, value in zip(self.active, current):
                 self.traces[i][1].append(float(value))
             improved = current < self.best_val
-            self.best[:, improved] = self.net.params[:, improved]
+            self.best[:, improved] = self.params[:, improved]
             self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
                                         0, self.flat_epochs + 1)
             self.best_val = np.where(improved, current, self.best_val)
@@ -472,7 +455,7 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
     """Train many (h, alpha) pairs in lockstep on rows of one feature table.
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
-    fits that share h and alpha architectures, loss formula and row count
+    fits that share h and alpha architectures, loss kind and row count
     train together, with leading (network, model) axes on parameters,
     activations, gradients and Adam moments, so each mini-batch step is one
     batched call per layer for the whole group. alpha must have h's layer
@@ -488,8 +471,9 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         n = np.shape(fit.rows)[0] if np.ndim(fit.rows) == 1 else -1
         if n < 0 or np.shape(fit.targets) != (n,):
             raise ShapeError("fit rows and targets must be aligned 1-D arrays")
-        if n == 0:
-            raise ConfigError("training data is empty")
+        if n < 2:
+            raise ConfigError(f"training needs at least 2 rows, one of them to validate on; "
+                              f"got {n}")
         if fit.loss.needs_alpha and fit.alpha is None:
             raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
         if not fit.loss.needs_alpha and fit.alpha is not None:
@@ -504,7 +488,7 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         if cfg.batch_size > n_train:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
         key = (fit.h.layers, None if fit.alpha is None else fit.alpha.layers,
-               fit.loss.formula, n)
+               fit.loss.kind, n)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(fits)
     for members in groups.values():

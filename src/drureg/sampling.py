@@ -160,6 +160,7 @@ class Dataset:
             raise SchemaError("covariates and outcomes have different row counts")
         if self.covariates.shape[1] != len(self.covariate_names):
             raise SchemaError("covariate column count does not match names")
+        self.column_index(self.covariate_names)  # rejects a repeated name
         if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary")
 
@@ -192,10 +193,14 @@ class Dataset:
         return float(self.outcomes[:, target_index].mean())
 
     def column_index(self, subset_names) -> np.ndarray:
+        """Column of each named covariate; a repeated name would resolve to
+        its first column only, so it is rejected."""
         cols = []
         for name in subset_names:
             if name not in self.covariate_names:
                 raise SchemaError(f"unknown covariate {name!r}; have {self.covariate_names}")
+            if self.covariate_names.index(name) in cols:
+                raise SchemaError(f"covariate {name!r} is named twice")
             cols.append(self.covariate_names.index(name))
         return np.array(cols, dtype=int)
 
@@ -248,13 +253,16 @@ class Dataset:
                     data = data.reshape(len(data), len(expected))
                 except ValueError as exc:
                     raise SchemaError(f"malformed rows in {path}: {exc}") from exc
-        return cls(
-            covariates=data[:, : len(names)],
-            outcomes=data[:, len(names): len(names) + n_targets],
-            covariate_names=names,
-            level_counts=levels,
-            provenance=provenance,
-        )
+        try:
+            return cls(
+                covariates=data[:, : len(names)],
+                outcomes=data[:, len(names): len(names) + n_targets],
+                covariate_names=names,
+                level_counts=levels,
+                provenance=provenance,
+            )
+        except SchemaError as exc:
+            raise SchemaError(f"invalid dataset {path}: {exc}") from exc
 
 
 def generate_population(spec: PopulationSpec) -> Dataset:

@@ -50,6 +50,14 @@ def edit_sidecar(edit):
     return corrupt
 
 
+def repeat_covariate_name(data):
+    # the sidecar and the CSV header both name the second covariate like the first
+    def repeat(names):
+        return names[:1] * 2 + names[2:]
+    edit_sidecar(lambda doc: {**doc, "covariate_names": repeat(doc["covariate_names"])})(data)
+    return edit_rows(lambda lines: [",".join(repeat(lines[0].split(",")))] + lines[1:])(data)
+
+
 def edit_bytes(edit):
     def corrupt(data):
         data.write_bytes(edit(data.read_bytes()))
@@ -169,8 +177,9 @@ class TestTrain:
         edit_sidecar(lambda sidecar: {**sidecar, "level_counts": ["x"]}),
         edit_bytes(lambda raw: b"\xff\xfe" + raw),
         edit_bytes(lambda raw: b""),
+        repeat_covariate_name,
     ], ids=["non_integer_field", "short_row", "empty_sidecar", "non_integer_level_count",
-            "not_utf8", "empty_file"])
+            "not_utf8", "empty_file", "repeated_covariate_name"])
     def test_malformed_dataset_exits_2(self, generated, tmp_path, capsys, corrupt):
         data = generated / "sample_target_0.csv"
         broken = corrupt(data)
@@ -204,6 +213,7 @@ class TestConfigBounds:
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "sweep", "prev_sample_size", 0, "sweep.prev_sample_size"),
         ("sweep", "bias", "n_sample", 12, "batch_size 12"),
+        ("sweep", "bias", "n_sample", 1, "bias.n_sample must be >= 2"),
         ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
         ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),
         ("sweep", "train", "adam_epsilon", float("inf"), "train.adam_epsilon"),
@@ -224,9 +234,10 @@ class TestConfigBounds:
     @pytest.mark.parametrize("edit, message", [
         ({"methods": ["nn_plain", "nn_plain"]}, "methods repeats 'nn_plain'"),
         ({"covariate_subsets": [["gender"], ["gender"]]}, "covariate_subsets repeats ['gender']"),
+        ({"covariate_subsets": [["age", "age"]]}, "covariate_subsets repeats 'age'"),
         ({"population": {**TOY_CONFIG["population"], "covariates": [["gender", 2], ["gender", 3]]},
           "covariate_subsets": [["gender"]]}, "population.covariates repeats 'gender'"),
-    ], ids=["method", "subset", "covariate"])
+    ], ids=["method", "subset", "name_in_subset", "covariate"])
     def test_repeated_entry_exits_2(self, tmp_path, capsys, edit, message):
         # a repeated method or subset would pool two runs under one run key,
         # and a repeated covariate name would resolve to its first column

@@ -181,10 +181,13 @@ class TestTrain:
         if not report.stopped_early:
             assert report.epochs_run == 20
 
-    def test_empty_data_rejected(self):
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_data_rejected(self, n):
+        # one row leaves no validation row to pick the best epoch by
         h = init_mlp(mlp_architecture(2, 4), seed=4)
-        with pytest.raises(ConfigError):
-            train(h, None, np.empty((0, 2)), np.empty(0), LossSpec("squared"), TrainConfig())
+        with pytest.raises(ConfigError, match="at least 2 rows"):
+            train(h, None, np.zeros((n, 2)), np.zeros(n), LossSpec("squared"),
+                  TrainConfig(batch_size=1))
 
     def test_batch_size_larger_than_training_split(self, rng):
         h = init_mlp(mlp_architecture(2, 4), seed=4)
@@ -238,16 +241,21 @@ class TestTrain:
         with pytest.raises(ShapeError, match=f"^{role} network"):
             train(h, alpha, X, rng.random(40), spec, TrainConfig(max_epochs=1))
 
-    def test_dru_gamma_one_matches_squared_training(self, rng):
-        # with gamma=1 the alpha terms vanish; h follows the same trajectory
+    @pytest.mark.parametrize("direction", [1, 0])
+    def test_dru_gamma_one_matches_squared_training(self, rng, direction):
+        # with gamma=1 the dRU coefficients are 1, 0 and 0: the loss is the
+        # squared loss bit for bit and alpha gets a zero gradient
         X = rng.random((100, 3))
         y = (rng.random(100) < 0.4).astype(float)
         h = init_mlp(mlp_architecture(3, 4), seed=21)
         alpha = init_mlp(mlp_architecture(3, 4, output_activation="relu"), seed=22)
-        spec = LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=1))
-        dru_model, _ = train(h, alpha, X, y, spec, TrainConfig(), seed=23)
-        plain_model, _ = train(h, None, X, y, LossSpec("squared"), TrainConfig(), seed=23)
-        assert np.abs(dru_model.predict(X) - plain_model.predict(X)).max() < 1e-6
+        spec = LossSpec("dru", meta=MetaInfo(gamma=1.0, direction=direction))
+        dru_model, dru_report = train(h, alpha, X, y, spec, TrainConfig(), seed=23)
+        plain_model, plain_report = train(h, None, X, y, LossSpec("squared"), TrainConfig(),
+                                          seed=23)
+        assert dru_model.h.params.tobytes() == plain_model.h.params.tobytes()
+        assert dru_model.alpha.params.tobytes() == alpha.params.tobytes()
+        assert dru_report == plain_report
 
 
 def reference_train(h, alpha, X, y, spec, cfg, seed):

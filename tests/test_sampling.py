@@ -101,6 +101,15 @@ class TestCellIndex:
         with pytest.raises(SchemaError, match="unknown covariate"):
             data.cell_index(["b"])
 
+    def test_repeated_covariate_name_rejected(self):
+        # a repeated name would resolve to its first column only
+        covariates = np.zeros((2, 2), dtype=np.int64)
+        data = Dataset(covariates, np.zeros((2, 1), dtype=np.int64), ("a", "b"), (2, 2))
+        with pytest.raises(SchemaError, match="'a' is named twice"):
+            data.column_index(["a", "a"])
+        with pytest.raises(SchemaError, match="'a' is named twice"):
+            Dataset(covariates, np.zeros((2, 1), dtype=np.int64), ("a", "a"), (2, 2))
+
 
 class TestDataset:
     @pytest.mark.parametrize("bad", [2, -1])
