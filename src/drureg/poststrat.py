@@ -45,10 +45,11 @@ def build_cell_table(population: Dataset, covariate_subset) -> CellTable:
     subset = tuple(covariate_subset)
     if not subset:
         raise SchemaError("covariate subset must be non-empty")
-    counts = tuple(population.level_counts[c] for c in population.column_index(subset))
-    tallies = np.bincount(population.cell_index(subset), minlength=population.n_cells(subset))
-    return CellTable(subset_names=subset, level_counts=counts,
-                     fractions=tallies / population.n_rows)
+    # full-grid tallies summed over the other covariates, axes in subset order
+    grid = population.cell_counts[0].reshape(population.level_counts)
+    tallies = np.einsum(grid, range(grid.ndim), population.column_index(subset))
+    return CellTable(subset_names=subset, level_counts=tallies.shape,
+                     fractions=tallies.ravel() / population.n_rows)
 
 
 def poststratify(cell_estimates, table: CellTable) -> float:

@@ -164,12 +164,14 @@ def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -
         mask_signs, direction = constraint
         mask_signs = np.asarray(mask_signs)
         hi = np.where(mask_signs == direction, hi, lo)
+    # the LP has a single row, and HiGHS presolve costs about 3x the solve
     res = linprog(
         c=-losses.values,
         A_eq=np.ones((1, probs.size)),
         b_eq=np.array([1.0]),
-        bounds=list(zip(lo, hi)),
+        bounds=np.column_stack((lo, hi)),
         method="highs",
+        options={"presolve": False},
     )
     if res.status == 2:
         raise InfeasibleError("LP constraint set is infeasible")

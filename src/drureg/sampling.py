@@ -15,6 +15,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +182,30 @@ class Dataset:
         every covariate), in np.ravel_multi_index order of the subset's levels.
 
         This is the one cell representation: cell tables, cell means and
-        per-cell estimates are all arrays indexed by it.
+        per-cell estimates are all arrays indexed by it. The full-grid index
+        is computed once and is read-only.
         """
+        if subset is None:
+            return self._full_cell_index
         cols, counts = self._subset_columns(subset)
         return np.ravel_multi_index(tuple(self.covariates[:, c] for c in cols), counts)
+
+    @cached_property
+    def _full_cell_index(self) -> np.ndarray:
+        cells = self.cell_index(self.covariate_names)
+        cells.flags.writeable = False
+        return cells
+
+    @cached_property
+    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows per full-grid cell, and outcome-1 rows per (cell, target) as
+        an (n_cells, n_targets) float table; computed once, read-only."""
+        cells, n_cells = self.cell_index(), self.n_cells()
+        rows, ones = np.bincount(cells, minlength=n_cells), np.zeros((n_cells, self.n_targets))
+        for t in range(self.n_targets):
+            ones[:, t] = np.bincount(cells, weights=self.outcomes[:, t], minlength=n_cells)
+        rows.flags.writeable = ones.flags.writeable = False
+        return rows, ones
 
     def n_cells(self, subset=None) -> int:
         return int(np.prod(self._subset_columns(subset)[1]))
@@ -322,36 +343,38 @@ def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dat
     rng = np.random.default_rng(np.random.SeedSequence((bias.seed, target_index)))
 
     cells = population.cell_index()
+    cell_rows, cell_ones = population.cell_counts
     y = population.outcomes[:, target_index]
-    n_cells = population.n_cells()
-    cell_rows = np.bincount(cells, minlength=n_cells)
-    cell_ones = np.bincount(cells, weights=y, minlength=n_cells)
     with np.errstate(invalid="ignore"):
-        mu = np.where(cell_rows > 0, cell_ones / np.maximum(cell_rows, 1), 0.0)
+        mu = np.where(cell_rows > 0, cell_ones[:, target_index] / np.maximum(cell_rows, 1), 0.0)
 
     if direction == 1:
         w1, w0 = _sampling_weights_up(mu, gamma)
     else:
         w0, w1 = _sampling_weights_up(1.0 - mu, gamma)
-    row_weights = np.where(y == 1, w1[cells], w0[cells])
+    # one gather: a row's weight is w0 or w1 of its cell, picked by its outcome
+    row_weights = np.concatenate((w0, w1))[y * cell_rows.size + cells]
     probs = row_weights / row_weights.sum()
-    chosen = rng.choice(population.n_rows, size=bias.n_sample, replace=True, p=probs)
-    chosen.sort()
+    # inverse CDF on sorted uniforms: sorted rng.choice(n_rows, n_sample, p=probs), bit for bit
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    chosen = cdf.searchsorted(np.sort(rng.random(bias.n_sample)), side="right")
 
-    sample_cells = np.bincount(cells[chosen], minlength=n_cells)
+    sample_cells = np.bincount(cells[chosen], minlength=cell_rows.size)
     empty_cells = int(((cell_rows > 0) & (sample_cells == 0)).sum())
     provenance = {
         "kind": "biased_sample",
         "bias": bias.to_dict(),
         "target_index": target_index,
-        "population_mean": float(y.mean()),
+        "population_mean": float(cell_ones[:, target_index].sum() / population.n_rows),
         "sample_mean": float(y[chosen].mean()),
         "warnings": ([f"{empty_cells} populated cells are empty in the sample"]
                      if empty_cells else []),
     }
+    # np.take gathers rows about twice as fast as fancy indexing
     return Dataset(
-        covariates=population.covariates[chosen],
-        outcomes=population.outcomes[chosen],
+        covariates=np.take(population.covariates, chosen, axis=0),
+        outcomes=np.take(population.outcomes, chosen, axis=0),
         covariate_names=population.covariate_names,
         level_counts=population.level_counts,
         provenance=provenance,
@@ -371,16 +394,10 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int,
     if sample.covariate_names != population.covariate_names or \
             sample.level_counts != population.level_counts:
         raise SchemaError("sample and population must share the covariate schema")
-    n_cells = population.n_cells()
+    pop_rows, pop_ones = population.cell_counts
     samp_cells = sample.cell_index()
-    pop_cells = population.cell_index()
-    ys = sample.outcomes[:, target_index]
-    yp = population.outcomes[:, target_index]
-
-    samp_rows = np.bincount(samp_cells, minlength=n_cells)
-    samp_ones = np.bincount(samp_cells, weights=ys, minlength=n_cells)
-    pop_rows = np.bincount(pop_cells, minlength=n_cells)
-    pop_ones = np.bincount(pop_cells, weights=yp, minlength=n_cells)
+    samp_rows = np.bincount(samp_cells, minlength=pop_rows.size)
+    samp_ones = np.bincount(samp_cells, weights=sample.outcomes[:, target_index], minlength=pop_rows.size)
 
     eligible = (samp_rows >= min_cell_rows) & (pop_rows > 0)
     if not eligible.any():
@@ -388,7 +405,7 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int,
             f"no cell has >= {min_cell_rows} sample rows; cannot estimate gamma")
 
     weight = samp_rows[eligible].astype(float)
-    pop_freq = pop_ones[eligible] / pop_rows[eligible]
+    pop_freq = pop_ones[eligible, target_index] / pop_rows[eligible]
     samp_freq = samp_ones[eligible] / samp_rows[eligible]
     # add-half smoothing on the pooled totals guards against empty outcome sides
     total = weight.sum()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, SchemaError, ShapeError
 from drureg.poststrat import CellTable, build_cell_table, poststratify
-from drureg.sampling import Dataset
+from drureg.sampling import Dataset, default_population_spec, generate_population
 
 
 def make_dataset(columns, names, counts, n_targets=1):
@@ -98,6 +98,14 @@ class TestBuildCellTable:
         assert table.level_counts == (2, 3)
         assert np.array_equal(table.fractions, [0.2, 0.0, 0.3, 0.0, 0.4, 0.1])
         assert np.array_equal(table.cell_levels()[[0, 2, 4, 5]], [[0, 0], [0, 2], [1, 1], [1, 2]])
+
+    @pytest.mark.parametrize("subset", [["age", "gender"], ["past_vote", "area", "gender"]])
+    def test_matches_the_subset_bincount_in_any_name_order(self, subset):
+        pop = generate_population(default_population_spec(n_population=20_000, seed=5))
+        table = build_cell_table(pop, subset)
+        tallies = np.bincount(pop.cell_index(subset), minlength=pop.n_cells(subset))
+        assert table.level_counts == tuple(pop.level_counts[c] for c in pop.column_index(subset))
+        assert table.fractions.tobytes() == (tallies / pop.n_rows).tobytes()
 
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(1)

@@ -95,6 +95,28 @@ class TestCellIndex:
         assert np.array_equal(data.cell_index(), data.cell_index(data.covariate_names))
         assert data.n_cells() == int(np.prod(data.level_counts))
 
+    def test_full_grid_index_is_cached_read_only(self):
+        pop = generate_population(default_population_spec(n_population=5_000, seed=2))
+        cells = pop.cell_index()
+        assert pop.cell_index() is cells
+        with pytest.raises(ValueError):
+            cells[0] = 0
+        # a subset index is computed fresh and belongs to the caller
+        pop.cell_index(["age"])[0] = 0
+
+    def test_cached_counts_equal_fresh_bincounts(self):
+        pop = generate_population(default_population_spec(n_population=5_000, n_targets=3, seed=2))
+        cells, n_cells = pop.cell_index(), pop.n_cells()
+        rows, ones = pop.cell_counts
+        assert ones.shape == (n_cells, 3)
+        assert np.array_equal(rows, np.bincount(cells, minlength=n_cells))
+        for t in range(3):
+            fresh = np.bincount(cells, weights=pop.outcomes[:, t], minlength=n_cells)
+            assert ones[:, t].tobytes() == fresh.tobytes()
+        for table in (rows, ones):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
     def test_unknown_covariate_rejected(self):
         data = Dataset(np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1), dtype=np.int64),
                        ("a",), (2,))
@@ -152,7 +174,52 @@ class TestSamplingWeights:
             assert w1 == 1.0 and w0 == 1.0
 
 
+def degenerate_spec(n=20_000, seed=21):
+    """Two targets over 10 cells, some of whose outcome means are exactly 0 or 1."""
+    means = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.5], [0.6, 0.2],
+             [0.1, 0.9], [0.5, 0.5], [0.8, 0.1], [0.45, 0.0], [0.2, 0.7]]
+    return PopulationSpec(covariate_levels=(("gender", 2), ("age", 5)),
+                          cell_means=np.array(means), n_population=n, n_targets=2, seed=seed)
+
+
+def choice_draw(population, bias, t):
+    """The rows and generator of the draw as Generator.choice with p, then a sort."""
+    cells, n_cells = population.cell_index(), population.n_cells()
+    y = population.outcomes[:, t]
+    cell_rows = np.bincount(cells, minlength=n_cells)
+    cell_ones = np.bincount(cells, weights=y, minlength=n_cells)
+    mu = np.where(cell_rows > 0, cell_ones / np.maximum(cell_rows, 1), 0.0)
+    if bias.d_true[t] == 1:
+        w1, w0 = _sampling_weights_up(mu, bias.gamma_true[t])
+    else:
+        w0, w1 = _sampling_weights_up(1.0 - mu, bias.gamma_true[t])
+    row_weights = np.where(y == 1, w1[cells], w0[cells])
+    probs = row_weights / row_weights.sum()
+    rng = np.random.default_rng(np.random.SeedSequence((bias.seed, t)))
+    chosen = np.sort(rng.choice(population.n_rows, size=bias.n_sample, replace=True, p=probs))
+    return chosen, rng
+
+
 class TestBiasedSample:
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_rows_and_generator_state_match_choice(self, monkeypatch, gamma, direction, target):
+        pop = generate_population(degenerate_spec())
+        means = pop.cell_counts[1][:, target] / pop.cell_counts[0]
+        assert {0.0, 1.0} <= set(means)
+        bias = BiasSpec((gamma,) * 2, (direction,) * 2, 3_000, seed=22)
+        expected, reference = choice_draw(pop, bias, target)
+        made = []  # every generator biased_sample makes
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(default_rng(seed)) or made[-1])
+        sample = biased_sample(pop, bias, target)
+        assert np.array_equal(sample.covariates, pop.covariates[expected])
+        assert np.array_equal(sample.outcomes, pop.outcomes[expected])
+        assert len(made) == 1
+        assert made[0].bit_generator.state == reference.bit_generator.state
+
     def test_gamma_one_is_unbiased_subsample(self):
         pop = generate_population(flat_spec(0.5))
         bias = BiasSpec(gamma_true=(1.0,), d_true=(1,), n_sample=50_000, seed=4)
