@@ -179,11 +179,11 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _fit_regression(features: np.ndarray, y: np.ndarray, cell_features: np.ndarray) -> np.ndarray:
-    """Closed-form least squares on one-hot covariates plus intercept."""
-    a = np.column_stack([features, np.ones(features.shape[0])])
-    beta, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
+def _fit_regression(design: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closed-form least squares on the design rows of the sample's cells;
+    `design` is the subset's one-hot cell features plus an intercept column."""
+    beta, *_ = np.linalg.lstsq(design[rows], y, rcond=None)
+    return design @ beta
 
 
 def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dict]]:
@@ -198,17 +198,20 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
         n_sample=sweep_cfg.prev_sample_size,
         seed=_derive_seed(bias.seed, 1),
     )
-    try:
-        informed = tuple(
-            estimate_true_meta(
-                biased_sample(population, prev_bias, t), population, t,
-                min_cell_rows=sweep_cfg.meta_min_cell_rows,
-            )
-            for t in range(n_targets)
-        )
-    except Exception as exc:  # noqa: BLE001 - only the informed methods lose this replicate
-        informed = exc
-    samples = [biased_sample(population, bias, t) for t in range(n_targets)]
+    # a target's two draws share (gamma, d), so back to back they share one
+    # row CDF; the previous-election sample is dropped once its meta is known
+    informed: list[MetaInfo] | Exception = []
+    samples = []
+    for t in range(n_targets):
+        if not isinstance(informed, Exception):
+            try:
+                informed.append(estimate_true_meta(
+                    biased_sample(population, prev_bias, t), population, t,
+                    min_cell_rows=sweep_cfg.meta_min_cell_rows,
+                ))
+            except Exception as exc:  # noqa: BLE001 - only the informed methods lose this replicate
+                informed = exc
+        samples.append(biased_sample(population, bias, t))
     y_true = [population.target_mean(t) for t in range(n_targets)]
     y_unweighted = [samples[t].target_mean(t) for t in range(n_targets)]
 
@@ -219,6 +222,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
         cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
+        design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
         cells = [sample.cell_index(subset) for sample in samples]
         populated = table.fractions > 0
         unseen = max(
@@ -259,8 +263,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                 method_records = []
                 for t in range(n_targets):
                     if method.loss is None:
-                        estimates = _fit_regression(cell_features[cells[t]], targets[t],
-                                                    cell_features)
+                        estimates = _fit_regression(design, cells[t], targets[t])
                     else:
                         outcome = outcomes[first_fit[method_idx] + t]
                         if isinstance(outcome, Exception):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -153,8 +153,11 @@ class Dataset:
     covariate_names: tuple[str, ...]
     level_counts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
+    cells: InitVar[np.ndarray | None] = None  # the full-grid cell index, if the maker has it
+    # (key, cdf) of the last row CDF _row_cdf built; one slot, so one CDF at most
+    _last_cdf: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cells) -> None:
         if self.covariates.ndim != 2 or self.outcomes.ndim != 2:
             raise SchemaError("covariates and outcomes must be 2-D")
         if self.covariates.shape[0] != self.outcomes.shape[0]:
@@ -164,6 +167,9 @@ class Dataset:
         self.column_index(self.covariate_names)  # rejects a repeated name
         if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary")
+        if cells is not None:
+            cells.flags.writeable = False
+            self.__dict__["_full_cell_index"] = cells  # the cached_property's slot
 
     @property
     def n_rows(self) -> int:
@@ -211,7 +217,8 @@ class Dataset:
         return int(np.prod(self._subset_columns(subset)[1]))
 
     def target_mean(self, target_index: int) -> float:
-        return float(self.outcomes[:, target_index].mean())
+        """Share of rows with outcome 1: an exact count over n, as `outcomes.mean()`."""
+        return float(self.cell_counts[1][:, target_index].sum() / self.n_rows)
 
     def column_index(self, subset_names) -> np.ndarray:
         """Column of each named covariate; a repeated name would resolve to
@@ -292,11 +299,13 @@ def generate_population(spec: PopulationSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_population
     counts = spec.level_counts
-    covariates = np.column_stack([rng.integers(0, c, size=n) for c in counts])
+    covariates = np.empty((n, len(counts)), dtype=np.int64)
+    for j, c in enumerate(counts):
+        covariates[:, j] = rng.integers(0, c, size=n)
     cells = np.ravel_multi_index(covariates.T, counts)
     outcomes = np.empty((n, spec.n_targets), dtype=np.int64)
-    for t in range(spec.n_targets):
-        outcomes[:, t] = rng.random(n) < spec.cell_means[cells, t]
+    for t, means in enumerate(spec.cell_means.T.copy()):  # one contiguous row per target
+        outcomes[:, t] = rng.random(n) < means.take(cells)
     return Dataset(
         covariates=covariates,
         outcomes=outcomes,
@@ -304,6 +313,7 @@ def generate_population(spec: PopulationSpec) -> Dataset:
         level_counts=counts,
         provenance={"kind": "population", "seed": spec.seed, "n_population": n,
                     "n_targets": spec.n_targets},
+        cells=cells,
     )
 
 
@@ -328,6 +338,31 @@ def _sampling_weights_up(mu: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
     return np.where(unbiased, 1.0, w1), np.where(unbiased, 1.0, w0)
 
 
+def _row_cdf(population: Dataset, target_index: int, gamma: float, direction: int) -> np.ndarray:
+    """Normalized cumulative row weights of the (gamma, d) tilt on one target;
+    the population keeps the last one, which two draws with that key share."""
+    key = (target_index, gamma, direction)
+    if population._last_cdf[0] == key:
+        return population._last_cdf[1]
+    population._last_cdf = (None, None)
+    cells = population.cell_index()
+    cell_rows, cell_ones = population.cell_counts
+    y = population.outcomes[:, target_index]
+    with np.errstate(invalid="ignore"):
+        mu = np.where(cell_rows > 0, cell_ones[:, target_index] / np.maximum(cell_rows, 1), 0.0)
+    if direction == 1:
+        w1, w0 = _sampling_weights_up(mu, gamma)
+    else:
+        w0, w1 = _sampling_weights_up(1.0 - mu, gamma)
+    # one gather: a row's weight is w0 or w1 of its cell, picked by its outcome
+    cdf = np.concatenate((w0, w1))[y * cell_rows.size + cells]
+    cdf /= cdf.sum()  # the row probabilities, then in place their running sum
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    population._last_cdf = (key, cdf)
+    return cdf
+
+
 def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dataset:
     """Importance-resample the population into a sample biased on one target.
 
@@ -338,36 +373,22 @@ def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dat
     """
     if not (0 <= target_index < population.n_targets):
         raise ParameterError(f"target_index {target_index} out of range")
-    gamma = bias.gamma_true[target_index]
-    direction = bias.d_true[target_index]
+    cdf = _row_cdf(population, target_index, bias.gamma_true[target_index],
+                   bias.d_true[target_index])
     rng = np.random.default_rng(np.random.SeedSequence((bias.seed, target_index)))
-
-    cells = population.cell_index()
-    cell_rows, cell_ones = population.cell_counts
-    y = population.outcomes[:, target_index]
-    with np.errstate(invalid="ignore"):
-        mu = np.where(cell_rows > 0, cell_ones[:, target_index] / np.maximum(cell_rows, 1), 0.0)
-
-    if direction == 1:
-        w1, w0 = _sampling_weights_up(mu, gamma)
-    else:
-        w0, w1 = _sampling_weights_up(1.0 - mu, gamma)
-    # one gather: a row's weight is w0 or w1 of its cell, picked by its outcome
-    row_weights = np.concatenate((w0, w1))[y * cell_rows.size + cells]
-    probs = row_weights / row_weights.sum()
     # inverse CDF on sorted uniforms: sorted rng.choice(n_rows, n_sample, p=probs), bit for bit
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
     chosen = cdf.searchsorted(np.sort(rng.random(bias.n_sample)), side="right")
 
-    sample_cells = np.bincount(cells[chosen], minlength=cell_rows.size)
-    empty_cells = int(((cell_rows > 0) & (sample_cells == 0)).sum())
+    cells = population.cell_index()[chosen]  # the sample's full-grid index
+    cell_rows = population.cell_counts[0]
+    sample_rows = np.bincount(cells, minlength=cell_rows.size)
+    empty_cells = int(((cell_rows > 0) & (sample_rows == 0)).sum())
     provenance = {
         "kind": "biased_sample",
         "bias": bias.to_dict(),
         "target_index": target_index,
-        "population_mean": float(cell_ones[:, target_index].sum() / population.n_rows),
-        "sample_mean": float(y[chosen].mean()),
+        "population_mean": population.target_mean(target_index),
+        "sample_mean": float(population.outcomes[chosen, target_index].mean()),
         "warnings": ([f"{empty_cells} populated cells are empty in the sample"]
                      if empty_cells else []),
     }
@@ -378,6 +399,7 @@ def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dat
         covariate_names=population.covariate_names,
         level_counts=population.level_counts,
         provenance=provenance,
+        cells=cells,
     )
 
 
@@ -416,6 +438,6 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int,
     r0 = (1.0 - pooled_pop) / (1.0 - pooled_samp)
     gamma_hat = max(r1, 1.0 / r1, r0, 1.0 / r0)
 
-    shift = population.target_mean(target_index) - sample.target_mean(target_index)
+    shift = population.target_mean(target_index) - samp_ones.sum() / sample.n_rows
     direction = int(np.sign(shift))
     return MetaInfo(gamma=float(max(gamma_hat, 1.0)), direction=direction)

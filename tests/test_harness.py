@@ -18,6 +18,7 @@ from drureg.harness import (
     RunRecord,
     SweepConfig,
     SweepResult,
+    _fit_regression,
     b_score,
     histogram_data,
     lookup_method,
@@ -25,9 +26,10 @@ from drureg.harness import (
     summarize,
 )
 from drureg.losses import MetaInfo
-from drureg.nn import TrainConfig, split_sizes
+from drureg.nn import TrainConfig, one_hot_encode, split_sizes
+from drureg.poststrat import build_cell_table
 from drureg.robustness import eta
-from drureg.sampling import biased_sample, generate_population
+from drureg.sampling import BiasSpec, biased_sample, default_population_spec, generate_population
 
 
 def small_setup(n_replicates=1, n_population=15_000, n_sample=600, n_targets=2,
@@ -163,6 +165,25 @@ class TestMethodMapping:
             ("dru", (2.0, -1), None, 4, 4), ("dru", (3.0, 1), None, 4, 4),
             ("dru", (3.0, -1), None, 4, 4), ("dru", (2.0, 1), None, 4, 4),
         ]
+
+
+def test_fit_regression_matches_the_per_target_column_stack():
+    # 3,000 rows leave full cells empty in the population, and 800 sample
+    # rows leave more unseen, so the least-squares problem is rank deficient
+    pop = generate_population(default_population_spec(n_population=3_000, seed=41))
+    subset = pop.covariate_names
+    table = build_cell_table(pop, subset)
+    assert (table.fractions == 0).any()
+    cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
+    design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
+    bias = BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 800, seed=42)
+    for t in range(pop.n_targets):
+        sample = biased_sample(pop, bias, t)
+        rows, y = sample.cell_index(subset), sample.outcomes[:, t].astype(float)
+        a = np.column_stack([cell_features[rows], np.ones(rows.size)])
+        beta, *_ = np.linalg.lstsq(a, y, rcond=None)
+        expected = np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
+        assert _fit_regression(design, rows, y).tobytes() == expected.tobytes()
 
 
 class TestSweepConfig:

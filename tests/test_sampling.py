@@ -141,7 +141,58 @@ class TestDataset:
             Dataset(np.zeros((3, 1), dtype=np.int64), outcomes, ("a",), (2,))
 
 
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator np.random.default_rng makes from here on, in order."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    return made
+
+
+def column_stack_population(spec):
+    """Covariates, outcomes and generator of the population build as one
+    np.column_stack of the covariate columns and a 2-D cell_means gather."""
+    rng = np.random.default_rng(spec.seed)
+    n, counts = spec.n_population, spec.level_counts
+    covariates = np.column_stack([rng.integers(0, c, size=n) for c in counts])
+    cells = np.ravel_multi_index(covariates.T, counts)
+    outcomes = np.empty((n, spec.n_targets), dtype=np.int64)
+    for t in range(spec.n_targets):
+        outcomes[:, t] = rng.random(n) < spec.cell_means[cells, t]
+    return covariates, outcomes, rng
+
+
+def one_level_spec(n=20_000, seed=24):
+    """A 1-level covariate between two others, and cells of mean exactly 0 and 1."""
+    means = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.5], [0.6, 0.2], [0.45, 0.0]]
+    return PopulationSpec(covariate_levels=(("a", 3), ("one", 1), ("b", 2)),
+                          cell_means=np.array(means), n_population=n, n_targets=2, seed=seed)
+
+
 class TestGeneratePopulation:
+    @pytest.mark.parametrize("spec", [default_population_spec(n_population=20_000, seed=25),
+                                      one_level_spec()], ids=["default", "one-level"])
+    def test_matches_the_column_stack_build(self, generators, spec):
+        covariates, outcomes, reference = column_stack_population(spec)
+        pop = generate_population(spec)
+        assert pop.covariates.dtype == covariates.dtype and pop.covariates.flags.c_contiguous
+        assert np.array_equal(pop.covariates, covariates)
+        assert np.array_equal(pop.outcomes, outcomes)
+        assert generators[-1].bit_generator.state == reference.bit_generator.state
+        # the build's cell index is the population's cached one
+        cells = pop.cell_index()
+        assert not cells.flags.writeable
+        assert np.array_equal(cells, np.ravel_multi_index(covariates.T, spec.level_counts))
+
+    def test_target_mean_is_the_outcome_mean_bit_for_bit(self):
+        pop = generate_population(default_population_spec(n_population=30_001, seed=26))
+        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 7_003, seed=27), 2)
+        for data in (pop, sample):
+            for t in range(data.n_targets):
+                assert data.target_mean(t).hex() == float(data.outcomes[:, t].mean()).hex()
+
     def test_half_means_concentrate(self):
         pop = generate_population(flat_spec(0.5))
         assert 0.49 <= pop.target_mean(0) <= 0.51
@@ -204,21 +255,51 @@ class TestBiasedSample:
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("target", [0, 1])
-    def test_rows_and_generator_state_match_choice(self, monkeypatch, gamma, direction, target):
+    def test_rows_and_generator_state_match_choice(self, generators, gamma, direction, target):
         pop = generate_population(degenerate_spec())
         means = pop.cell_counts[1][:, target] / pop.cell_counts[0]
         assert {0.0, 1.0} <= set(means)
         bias = BiasSpec((gamma,) * 2, (direction,) * 2, 3_000, seed=22)
         expected, reference = choice_draw(pop, bias, target)
-        made = []  # every generator biased_sample makes
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: made.append(default_rng(seed)) or made[-1])
+        made = len(generators)
         sample = biased_sample(pop, bias, target)
         assert np.array_equal(sample.covariates, pop.covariates[expected])
         assert np.array_equal(sample.outcomes, pop.outcomes[expected])
-        assert len(made) == 1
-        assert made[0].bit_generator.state == reference.bit_generator.state
+        assert len(generators) == made + 1  # biased_sample makes one generator
+        assert generators[-1].bit_generator.state == reference.bit_generator.state
+
+    def test_draws_on_one_population_match_draws_on_fresh_ones(self, generators):
+        # A population keeps the row CDF of its last (target, gamma, d). Each
+        # draw below changes one of the three, or only the seed and size, and
+        # must give the sample and generator state of the same draw made
+        # alone on a fresh population.
+        draws = [
+            (BiasSpec((2.0, 2.0), (1, 1), 4_000, seed=30), 0),  # previous-election draw
+            (BiasSpec((2.0, 2.0), (1, 1), 1_500, seed=31), 0),  # evaluation draw, same key
+            (BiasSpec((2.0, 2.0), (1, 1), 1_500, seed=31), 1),  # another target
+            (BiasSpec((2.0, 3.0), (1, 1), 1_500, seed=32), 1),  # another gamma
+            (BiasSpec((2.0, 3.0), (1, -1), 1_500, seed=32), 1),  # another direction
+            (BiasSpec((2.0, 3.0), (1, -1), 2_500, seed=33), 0),  # back to the first key
+        ]
+        pop = generate_population(degenerate_spec())
+        for bias, t in draws:
+            sample = biased_sample(pop, bias, t)
+            state = generators[-1].bit_generator.state
+            alone = biased_sample(generate_population(degenerate_spec()), bias, t)
+            assert np.array_equal(sample.covariates, alone.covariates)
+            assert np.array_equal(sample.outcomes, alone.outcomes)
+            assert sample.provenance == alone.provenance
+            assert state == generators[-1].bit_generator.state
+
+    def test_sample_cell_index_is_read_only_and_fresh_equal(self):
+        pop = generate_population(default_population_spec(n_population=20_000, seed=34))
+        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35), 1)
+        cells = sample.cell_index()
+        assert not cells.flags.writeable
+        assert np.array_equal(cells, np.ravel_multi_index(sample.covariates.T, sample.level_counts))
+        subset = ("past_vote", "gender")
+        expected = np.ravel_multi_index((sample.covariates[:, 5], sample.covariates[:, 0]), (4, 2))
+        assert np.array_equal(sample.cell_index(subset), expected)
 
     def test_gamma_one_is_unbiased_subsample(self):
         pop = generate_population(flat_spec(0.5))
