@@ -1,12 +1,13 @@
 """Synthetic populations and direction-annotated, ratio-bounded biased sampling.
 
-A population is a table of categorical covariates plus one binary outcome per
-target (one-vs-rest coalition shares). The biased sampler draws a sample whose
-within-cell outcome law differs from the population's by a two-level density
-ratio {gamma, 1/gamma}: outcomes on the announced direction's side of the
-within-cell split are undersampled so that the sample mean lands on the
-opposite side of the population mean, and the extreme ratio gamma is attained
-exactly at the population level.
+A population row is its cell index over the full grid of categorical
+covariates, from which its covariate levels are derived, plus one binary
+outcome per target (one-vs-rest coalition shares). The biased sampler draws a
+sample whose within-cell outcome law differs from the population's by a
+two-level density ratio {gamma, 1/gamma}: outcomes on the announced
+direction's side of the within-cell split are undersampled so that the sample
+mean lands on the opposite side of the population mean, and the extreme ratio
+gamma is attained exactly at the population level.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -146,34 +147,37 @@ class BiasSpec:
 
 @dataclass
 class Dataset:
-    """Rows of covariate level indices plus binary outcomes per target."""
+    """Rows of a read-only int64 full-grid cell index `cells`, from which the
+    covariates are derived, plus an (n_rows, n_targets) bool outcome array."""
 
-    covariates: np.ndarray
+    cells: np.ndarray
     outcomes: np.ndarray
     covariate_names: tuple[str, ...]
     level_counts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
-    cells: InitVar[np.ndarray | None] = None  # the full-grid cell index, if the maker has it
     # (key, cdf) of the last row CDF _row_cdf built; one slot, so one CDF at most
     _last_cdf: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def __post_init__(self, cells) -> None:
-        if self.covariates.ndim != 2 or self.outcomes.ndim != 2:
-            raise SchemaError("covariates and outcomes must be 2-D")
-        if self.covariates.shape[0] != self.outcomes.shape[0]:
-            raise SchemaError("covariates and outcomes have different row counts")
-        if self.covariates.shape[1] != len(self.covariate_names):
-            raise SchemaError("covariate column count does not match names")
+    def __post_init__(self) -> None:
+        if self.cells.ndim != 1 or self.cells.dtype != np.int64 or self.outcomes.ndim != 2:
+            raise SchemaError("cells must be a 1-D int64 array and outcomes 2-D")
+        if self.cells.shape[0] != self.outcomes.shape[0]:
+            raise SchemaError("cells and outcomes have different row counts")
+        if len(self.level_counts) != len(self.covariate_names):
+            raise SchemaError("level count number does not match names")
         self.column_index(self.covariate_names)  # rejects a repeated name
-        if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
-            raise SchemaError("outcomes must be binary")
-        if cells is not None:
-            cells.flags.writeable = False
-            self.__dict__["_full_cell_index"] = cells  # the cached_property's slot
+        if self.outcomes.dtype != bool:
+            raise SchemaError("outcomes must be binary: a bool array")
+        self.cells.flags.writeable = False
+
+    @property
+    def covariates(self) -> np.ndarray:
+        """(n_rows, n_covariates) level indices, unraveled from `cells`."""
+        return np.column_stack(np.unravel_index(self.cells, self.level_counts))
 
     @property
     def n_rows(self) -> int:
-        return self.covariates.shape[0]
+        return self.cells.shape[0]
 
     @property
     def n_targets(self) -> int:
@@ -189,27 +193,24 @@ class Dataset:
 
         This is the one cell representation: cell tables, cell means and
         per-cell estimates are all arrays indexed by it. The full-grid index
-        is computed once and is read-only.
+        is the read-only `cells`; a subset's index is looked up from it in a
+        table over the full grid.
         """
         if subset is None:
-            return self._full_cell_index
+            return self.cells
         cols, counts = self._subset_columns(subset)
-        return np.ravel_multi_index(tuple(self.covariates[:, c] for c in cols), counts)
-
-    @cached_property
-    def _full_cell_index(self) -> np.ndarray:
-        cells = self.cell_index(self.covariate_names)
-        cells.flags.writeable = False
-        return cells
+        grid = np.unravel_index(np.arange(self.n_cells()), self.level_counts)
+        return np.ravel_multi_index(tuple(grid[c] for c in cols), counts)[self.cells]
 
     @cached_property
     def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows per full-grid cell, and outcome-1 rows per (cell, target) as
-        an (n_cells, n_targets) float table; computed once, read-only."""
-        cells, n_cells = self.cell_index(), self.n_cells()
-        rows, ones = np.bincount(cells, minlength=n_cells), np.zeros((n_cells, self.n_targets))
+        an (n_cells, n_targets) int64 table; computed once, read-only."""
+        n_cells = self.n_cells()
+        rows = np.bincount(self.cells, minlength=n_cells)
+        ones = np.empty((n_cells, self.n_targets), dtype=np.int64)
         for t in range(self.n_targets):
-            ones[:, t] = np.bincount(cells, weights=self.outcomes[:, t], minlength=n_cells)
+            ones[:, t] = np.bincount(self.cells[self.outcomes[:, t]], minlength=n_cells)
         rows.flags.writeable = ones.flags.writeable = False
         return rows, ones
 
@@ -242,7 +243,8 @@ class Dataset:
                 + [f"target_{t}" for t in range(self.n_targets)]
                 + ["cell_id"]
             )
-            np.savetxt(fh, np.column_stack([self.covariates, self.outcomes, self.cell_index()]),
+            columns = np.unravel_index(self.cells, self.level_counts)
+            np.savetxt(fh, np.column_stack([*columns, self.outcomes, self.cells]),
                        fmt="%d", delimiter=",", newline="\r\n")
         sidecar = {
             "covariate_names": list(self.covariate_names),
@@ -255,6 +257,7 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read a to_csv file; a level out of range or a non-0/1 outcome is a SchemaError."""
         path = Path(path)
         sidecar_path = path.with_suffix(".provenance.json")
         try:
@@ -281,15 +284,13 @@ class Dataset:
                     data = data.reshape(len(data), len(expected))
                 except ValueError as exc:
                     raise SchemaError(f"malformed rows in {path}: {exc}") from exc
+        outcomes = data[:, len(names): len(names) + n_targets]
         try:
-            return cls(
-                covariates=data[:, : len(names)],
-                outcomes=data[:, len(names): len(names) + n_targets],
-                covariate_names=names,
-                level_counts=levels,
-                provenance=provenance,
-            )
-        except SchemaError as exc:
+            if not ((outcomes == 0) | (outcomes == 1)).all():
+                raise SchemaError("outcomes must be 0 or 1")
+            cells = np.ravel_multi_index(tuple(data[:, : len(names)].T), levels)  # checks levels
+            return cls(cells, outcomes.astype(bool), names, levels, provenance)
+        except (SchemaError, ValueError) as exc:
             raise SchemaError(f"invalid dataset {path}: {exc}") from exc
 
 
@@ -299,21 +300,20 @@ def generate_population(spec: PopulationSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_population
     counts = spec.level_counts
-    covariates = np.empty((n, len(counts)), dtype=np.int64)
-    for j, c in enumerate(counts):
-        covariates[:, j] = rng.integers(0, c, size=n)
-    cells = np.ravel_multi_index(covariates.T, counts)
-    outcomes = np.empty((n, spec.n_targets), dtype=np.int64)
+    cells = np.zeros(n, dtype=np.int64)
+    for c in counts:  # one covariate column per draw, raveled as it comes
+        cells *= c
+        cells += rng.integers(0, c, size=n)
+    outcomes = np.empty((n, spec.n_targets), dtype=bool)
     for t, means in enumerate(spec.cell_means.T.copy()):  # one contiguous row per target
         outcomes[:, t] = rng.random(n) < means.take(cells)
     return Dataset(
-        covariates=covariates,
+        cells=cells,
         outcomes=outcomes,
         covariate_names=spec.covariate_names,
         level_counts=counts,
         provenance={"kind": "population", "seed": spec.seed, "n_population": n,
                     "n_targets": spec.n_targets},
-        cells=cells,
     )
 
 
@@ -345,7 +345,7 @@ def _row_cdf(population: Dataset, target_index: int, gamma: float, direction: in
     if population._last_cdf[0] == key:
         return population._last_cdf[1]
     population._last_cdf = (None, None)
-    cells = population.cell_index()
+    cells = population.cells
     cell_rows, cell_ones = population.cell_counts
     y = population.outcomes[:, target_index]
     with np.errstate(invalid="ignore"):
@@ -379,7 +379,7 @@ def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dat
     # inverse CDF on sorted uniforms: sorted rng.choice(n_rows, n_sample, p=probs), bit for bit
     chosen = cdf.searchsorted(np.sort(rng.random(bias.n_sample)), side="right")
 
-    cells = population.cell_index()[chosen]  # the sample's full-grid index
+    cells = population.cells[chosen]
     cell_rows = population.cell_counts[0]
     sample_rows = np.bincount(cells, minlength=cell_rows.size)
     empty_cells = int(((cell_rows > 0) & (sample_rows == 0)).sum())
@@ -394,17 +394,16 @@ def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dat
     }
     # np.take gathers rows about twice as fast as fancy indexing
     return Dataset(
-        covariates=np.take(population.covariates, chosen, axis=0),
+        cells=cells,
         outcomes=np.take(population.outcomes, chosen, axis=0),
         covariate_names=population.covariate_names,
         level_counts=population.level_counts,
         provenance=provenance,
-        cells=cells,
     )
 
 
-def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int,
-                       min_cell_rows: int = 30) -> MetaInfo:
+def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int, *,
+                       min_cell_rows: int) -> MetaInfo:
     """Recover (gamma, d) by comparing within-cell outcome frequencies.
 
     Cells with at least `min_cell_rows` sample rows contribute their
@@ -417,9 +416,8 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int,
             sample.level_counts != population.level_counts:
         raise SchemaError("sample and population must share the covariate schema")
     pop_rows, pop_ones = population.cell_counts
-    samp_cells = sample.cell_index()
-    samp_rows = np.bincount(samp_cells, minlength=pop_rows.size)
-    samp_ones = np.bincount(samp_cells, weights=sample.outcomes[:, target_index], minlength=pop_rows.size)
+    samp_rows = np.bincount(sample.cells, minlength=pop_rows.size)
+    samp_ones = np.bincount(sample.cells[sample.outcomes[:, target_index]], minlength=pop_rows.size)
 
     eligible = (samp_rows >= min_cell_rows) & (pop_rows > 0)
     if not eligible.any():

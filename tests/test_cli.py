@@ -42,6 +42,15 @@ def edit_rows(edit):
     return corrupt
 
 
+def set_field(column, value):
+    # the first data row's field under `column` becomes `value`
+    def edit(lines):
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = value
+        return [lines[0], ",".join(row)] + lines[2:]
+    return edit_rows(edit)
+
+
 def edit_sidecar(edit):
     def corrupt(data):
         sidecar = data.with_suffix(".provenance.json")
@@ -178,13 +187,18 @@ class TestTrain:
         edit_bytes(lambda raw: b"\xff\xfe" + raw),
         edit_bytes(lambda raw: b""),
         repeat_covariate_name,
+        set_field("education", "7"),  # education has 3 levels
+        set_field("target_0", "2"),
     ], ids=["non_integer_field", "short_row", "empty_sidecar", "non_integer_level_count",
-            "not_utf8", "empty_file", "repeated_covariate_name"])
+            "not_utf8", "empty_file", "repeated_covariate_name", "level_out_of_range",
+            "non_binary_outcome"])
     def test_malformed_dataset_exits_2(self, generated, tmp_path, capsys, corrupt):
         data = generated / "sample_target_0.csv"
         broken = corrupt(data)
-        code = run("train", "--config", self._train_config(tmp_path, loss="squared"),
-                   "--data", data, "--out", tmp_path / "tr3")
+        # the model reads only gender and age: a bad field elsewhere must
+        # still be caught where the file is read
+        config = self._train_config(tmp_path, loss="squared", covariates=["gender", "age"])
+        code = run("train", "--config", config, "--data", data, "--out", tmp_path / "tr3")
         assert code == 2
         assert str(broken) in capsys.readouterr().err
 

@@ -11,8 +11,8 @@ from drureg.sampling import Dataset, default_population_spec, generate_populatio
 def make_dataset(columns, names, counts, n_targets=1):
     covariates = np.asarray(columns)
     return Dataset(
-        covariates=covariates,
-        outcomes=np.zeros((covariates.shape[0], n_targets), dtype=np.int64),
+        cells=np.ravel_multi_index(covariates.T, counts),
+        outcomes=np.zeros((covariates.shape[0], n_targets), dtype=bool),
         covariate_names=tuple(names),
         level_counts=tuple(counts),
     )

@@ -52,7 +52,8 @@ class TestPopulationSpec:
         rng = np.random.default_rng(0)
         effects = [rng.uniform(-0.3, 0.3, size=(c, 3)) for _, c in covariates]
         levels = np.indices((2, 3, 1)).reshape(3, -1).T[::-1]
-        data = Dataset(levels, np.zeros((6, 1), dtype=np.int64), ("a", "b", "c"), (2, 3, 1))
+        data = Dataset(np.ravel_multi_index(levels.T, (2, 3, 1)), np.zeros((6, 1), dtype=bool),
+                       ("a", "b", "c"), (2, 3, 1))
         for cell, row in zip(data.cell_index(), levels):
             tilt = np.zeros(3)
             for j, level in enumerate(row):
@@ -65,7 +66,8 @@ class TestPopulationSpec:
 
 @st.composite
 def schemas(draw):
-    """A dataset over 1-4 covariates (single-level ones included) and a subset."""
+    """A dataset over 1-4 covariates (single-level ones included), a subset,
+    and the covariate levels the dataset was built from."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     n_rows = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -74,14 +76,16 @@ def schemas(draw):
     names = tuple(f"c{j}" for j in range(len(counts)))
     subset = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
                            unique=True))
-    data = Dataset(covariates, np.zeros((n_rows, 1), dtype=np.int64), names, tuple(counts))
-    return data, subset
+    cells = np.ravel_multi_index(covariates.T, counts)
+    data = Dataset(cells, np.zeros((n_rows, 1), dtype=bool), names, tuple(counts))
+    return data, subset, covariates
 
 
 class TestCellIndex:
     @given(schemas())
     def test_matches_ravel_multi_index_of_the_subset_columns(self, schema):
-        data, subset = schema
+        data, subset, covariates = schema
+        assert np.array_equal(data.covariates, covariates)
         cols = [data.covariate_names.index(name) for name in subset]
         counts = [data.level_counts[c] for c in cols]
         expected = np.ravel_multi_index(data.covariates[:, cols].T, counts)
@@ -91,16 +95,20 @@ class TestCellIndex:
 
     @given(schemas())
     def test_default_subset_is_every_covariate(self, schema):
-        data, _ = schema
+        data, _, _ = schema
         assert np.array_equal(data.cell_index(), data.cell_index(data.covariate_names))
         assert data.n_cells() == int(np.prod(data.level_counts))
 
-    def test_full_grid_index_is_cached_read_only(self):
+    def test_cells_field_is_read_only(self):
         pop = generate_population(default_population_spec(n_population=5_000, seed=2))
-        cells = pop.cell_index()
-        assert pop.cell_index() is cells
+        assert pop.cell_index() is pop.cells
         with pytest.raises(ValueError):
-            cells[0] = 0
+            pop.cells[0] = 0
+        # the constructor makes the array it is given read-only
+        cells = np.array([0, 3, 1], dtype=np.int64)
+        Dataset(cells, np.zeros((3, 1), dtype=bool), ("a", "b"), (2, 2))
+        with pytest.raises(ValueError):
+            cells[0] = 1
         # a subset index is computed fresh and belongs to the caller
         pop.cell_index(["age"])[0] = 0
 
@@ -111,34 +119,50 @@ class TestCellIndex:
         assert ones.shape == (n_cells, 3)
         assert np.array_equal(rows, np.bincount(cells, minlength=n_cells))
         for t in range(3):
-            fresh = np.bincount(cells, weights=pop.outcomes[:, t], minlength=n_cells)
-            assert ones[:, t].tobytes() == fresh.tobytes()
+            fresh = np.zeros(n_cells, dtype=np.int64)
+            np.add.at(fresh, cells, pop.outcomes[:, t])
+            assert ones[:, t].dtype == fresh.dtype and ones[:, t].tobytes() == fresh.tobytes()
         for table in (rows, ones):
             with pytest.raises(ValueError):
                 table[0] = 1
 
     def test_unknown_covariate_rejected(self):
-        data = Dataset(np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1), dtype=np.int64),
-                       ("a",), (2,))
+        data = Dataset(np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=bool), ("a",), (2,))
         with pytest.raises(SchemaError, match="unknown covariate"):
             data.cell_index(["b"])
 
     def test_repeated_covariate_name_rejected(self):
         # a repeated name would resolve to its first column only
-        covariates = np.zeros((2, 2), dtype=np.int64)
-        data = Dataset(covariates, np.zeros((2, 1), dtype=np.int64), ("a", "b"), (2, 2))
+        cells, outcomes = np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=bool)
+        data = Dataset(cells, outcomes, ("a", "b"), (2, 2))
         with pytest.raises(SchemaError, match="'a' is named twice"):
             data.column_index(["a", "a"])
         with pytest.raises(SchemaError, match="'a' is named twice"):
-            Dataset(covariates, np.zeros((2, 1), dtype=np.int64), ("a", "a"), (2, 2))
+            Dataset(cells, outcomes, ("a", "a"), (2, 2))
 
 
 class TestDataset:
     @pytest.mark.parametrize("bad", [2, -1])
-    def test_non_binary_outcome_rejected(self, bad):
-        outcomes = np.array([[0, 1], [1, bad], [0, 0]], dtype=np.int64)
-        with pytest.raises(SchemaError, match="binary"):
-            Dataset(np.zeros((3, 1), dtype=np.int64), outcomes, ("a",), (2,))
+    def test_non_binary_outcome_rejected(self, tmp_path, bad):
+        # the constructor takes bool outcomes only, whatever their values
+        cells = np.zeros(3, dtype=np.int64)
+        for outcomes in ([[0, 1], [1, bad], [0, 0]], [[0, 1], [1, 1], [0, 0]]):
+            with pytest.raises(SchemaError, match="binary"):
+                Dataset(cells, np.array(outcomes, dtype=np.int64), ("a",), (2,))
+        # a file's outcomes are checked as they are read
+        path = tmp_path / "d.csv"
+        Dataset(cells, np.zeros((3, 2), dtype=bool), ("a",), (2,)).to_csv(path)
+        path.write_text(path.read_text().replace("0,0,0,0", f"0,0,{bad},0", 1))
+        with pytest.raises(SchemaError, match="0 or 1"):
+            Dataset.from_csv(path)
+
+    def test_cells_must_be_a_1d_int64_index(self):
+        outcomes = np.zeros((2, 1), dtype=bool)
+        for cells in (np.zeros((2, 1), dtype=np.int64), np.zeros(2, dtype=np.int32)):
+            with pytest.raises(SchemaError, match="1-D int64"):
+                Dataset(cells, outcomes, ("a",), (2,))
+        with pytest.raises(SchemaError, match="row counts"):
+            Dataset(np.zeros(3, dtype=np.int64), outcomes, ("a",), (2,))
 
 
 @pytest.fixture
@@ -179,9 +203,9 @@ class TestGeneratePopulation:
         pop = generate_population(spec)
         assert pop.covariates.dtype == covariates.dtype and pop.covariates.flags.c_contiguous
         assert np.array_equal(pop.covariates, covariates)
-        assert np.array_equal(pop.outcomes, outcomes)
+        assert pop.outcomes.dtype == bool and np.array_equal(pop.outcomes, outcomes)
         assert generators[-1].bit_generator.state == reference.bit_generator.state
-        # the build's cell index is the population's cached one
+        # the build's cell index is the population's read-only cells field
         cells = pop.cell_index()
         assert not cells.flags.writeable
         assert np.array_equal(cells, np.ravel_multi_index(covariates.T, spec.level_counts))
@@ -389,7 +413,7 @@ class TestEstimateTrueMeta:
     def test_unbiased_sample_gives_gamma_near_one(self):
         pop = generate_population(flat_spec(0.35))
         sample = biased_sample(pop, BiasSpec((1.0,), (1,), 100_000, seed=15), 0)
-        meta = estimate_true_meta(sample, pop, 0)
+        meta = estimate_true_meta(sample, pop, 0, min_cell_rows=30)
         assert abs(meta.gamma - 1.0) <= 0.15
 
     def test_direction_sign_definition(self):
@@ -403,13 +427,13 @@ class TestEstimateTrueMeta:
             n_population=100_000, n_targets=1, seed=17,
             covariate_levels=(("gender", 2), ("age", 5), ("area", 4))))
         sample = biased_sample(pop, BiasSpec((2.0,), (1,), 100_000, seed=18), 0)
-        meta = estimate_true_meta(sample, pop, 0)
+        meta = estimate_true_meta(sample, pop, 0, min_cell_rows=30)
         assert 1.6 <= meta.gamma <= 2.4
         assert meta.direction == 1
 
     def test_population_against_itself_is_unbiased(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=3))
-        metas = [estimate_true_meta(pop, pop, t) for t in range(pop.n_targets)]
+        metas = [estimate_true_meta(pop, pop, t, min_cell_rows=30) for t in range(pop.n_targets)]
         assert metas == [MetaInfo(gamma=1.0, direction=0)] * pop.n_targets
 
     def test_error_when_no_cell_qualifies(self):
@@ -422,7 +446,7 @@ class TestEstimateTrueMeta:
         pop = generate_population(flat_spec(0.5, n=2_000))
         other = generate_population(flat_spec(0.5, n=2_000, covariates=(("gender", 2),)))
         with pytest.raises(SchemaError):
-            estimate_true_meta(other, pop, 0)
+            estimate_true_meta(other, pop, 0, min_cell_rows=30)
 
 
 class TestCsvRoundTrip:
@@ -446,7 +470,7 @@ class TestCsvRoundTrip:
             Dataset.from_csv(path)
 
     def test_file_layout(self, tmp_path):
-        data = Dataset(covariates=np.array([[0, 2], [1, 0]]), outcomes=np.array([[1], [0]]),
+        data = Dataset(cells=np.array([2, 3]), outcomes=np.array([[True], [False]]),
                        covariate_names=("gender", "age"), level_counts=(2, 3))
         data.to_csv(tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == (
@@ -458,3 +482,23 @@ class TestCsvRoundTrip:
         pop.to_csv(a)
         pop.to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_population_and_sample_survive_a_write_read_write(self, tmp_path):
+        pop = generate_population(default_population_spec(n_population=3_000, seed=24))
+        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 700, seed=25), 3)
+        for name, data in (("pop", pop), ("sample", sample)):
+            first, second = tmp_path / f"{name}.csv", tmp_path / f"{name}2.csv"
+            data.to_csv(first)
+            back = Dataset.from_csv(first)
+            back.to_csv(second)
+            assert first.read_bytes() == second.read_bytes()
+            assert np.array_equal(back.cells, data.cells)
+            assert back.outcomes.dtype == bool and np.array_equal(back.outcomes, data.outcomes)
+
+    @pytest.mark.parametrize("level", [3, -1])
+    def test_level_out_of_range_rejected(self, tmp_path, level):
+        path = tmp_path / "d.csv"
+        Dataset(np.array([2, 3]), np.array([[True], [False]]), ("gender", "age"), (2, 3)).to_csv(path)
+        path.write_text(path.read_text().replace("1,0,0,3", f"1,{level},0,3"))
+        with pytest.raises(SchemaError, match="invalid dataset"):
+            Dataset.from_csv(path)
