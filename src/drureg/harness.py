@@ -11,7 +11,6 @@ population, never on the evaluation sample.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,6 +310,9 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
         for idx, (pop, bias) in enumerate(zip(populations, bias_specs))
     ]
     if sweep_cfg.jobs > 1 and len(payloads) > 1:
+        # multiprocessing loads only when a sweep runs replicates in parallel
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=sweep_cfg.jobs) as pool:
             outcomes = list(pool.map(_run_replicate, payloads))
     else:

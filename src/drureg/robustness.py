@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError, ParameterError
 
@@ -155,6 +154,9 @@ def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -
     points off the constraint direction are pinned at their floor. Solved
     with an off-the-shelf LP solver, independent of the greedy construction.
     """
+    # scipy.optimize is most of a cold start, and only this oracle uses it
+    from scipy.optimize import linprog
+
     if gamma < 1.0:
         raise ParameterError(f"gamma must be >= 1, got {gamma}")
     probs = losses.probs

@@ -145,7 +145,7 @@ class BiasSpec:
         }
 
 
-@dataclass
+@dataclass(eq=False)  # a generated __eq__ would compare arrays inside a tuple
 class Dataset:
     """Rows of a read-only int64 full-grid cell index `cells`, from which the
     covariates are derived, plus an (n_rows, n_targets) bool outcome array."""
@@ -156,7 +156,7 @@ class Dataset:
     level_counts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
     # (key, cdf) of the last row CDF _row_cdf built; one slot, so one CDF at most
-    _last_cdf: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _last_cdf: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cells.ndim != 1 or self.cells.dtype != np.int64 or self.outcomes.ndim != 2:
@@ -257,7 +257,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        """Read a to_csv file; a level out of range or a non-0/1 outcome is a SchemaError."""
+        """Read a to_csv file; a level out of range, a non-0/1 outcome or a
+        cell_id that is not the row's raveled levels is a SchemaError."""
         path = Path(path)
         sidecar_path = path.with_suffix(".provenance.json")
         try:
@@ -289,6 +290,11 @@ class Dataset:
             if not ((outcomes == 0) | (outcomes == 1)).all():
                 raise SchemaError("outcomes must be 0 or 1")
             cells = np.ravel_multi_index(tuple(data[:, : len(names)].T), levels)  # checks levels
+            mismatch = np.flatnonzero(data[:, -1] != cells)
+            if mismatch.size:
+                row = mismatch[0]
+                raise SchemaError(f"data row {row + 1} has cell_id {data[row, -1]}, "
+                                  f"but its levels give cell {cells[row]}")
             return cls(cells, outcomes.astype(bool), names, levels, provenance)
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"invalid dataset {path}: {exc}") from exc

@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drureg
 from drureg.cli import main
 from drureg.nn import TrainedModel, one_hot_encode
 from drureg.sampling import Dataset
@@ -189,9 +193,10 @@ class TestTrain:
         repeat_covariate_name,
         set_field("education", "7"),  # education has 3 levels
         set_field("target_0", "2"),
+        set_field("cell_id", "-1"),  # no row's levels ravel to -1
     ], ids=["non_integer_field", "short_row", "empty_sidecar", "non_integer_level_count",
             "not_utf8", "empty_file", "repeated_covariate_name", "level_out_of_range",
-            "non_binary_outcome"])
+            "non_binary_outcome", "cell_id_mismatch"])
     def test_malformed_dataset_exits_2(self, generated, tmp_path, capsys, corrupt):
         data = generated / "sample_target_0.csv"
         broken = corrupt(data)
@@ -314,3 +319,31 @@ class TestSweep:
         run("generate", "--config", toy_config, "--out", out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_config"]["seed"] == 777
+
+
+def run_fresh(code):
+    """Run `code` in a new interpreter that imports drureg from this checkout."""
+    src = str(Path(drureg.__file__).resolve().parents[1])
+    prelude = f"import sys; sys.path.insert(0, {src!r})\n"
+    done = subprocess.run([sys.executable, "-c", prelude + code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("module", ["drureg.cli", "drureg"])
+    def test_import_loads_neither_scipy_optimize_nor_multiprocessing(self, module):
+        # only the LP oracle needs scipy.optimize, and only --jobs > 1 a process pool
+        run_fresh(f"import {module}\n"
+                  "heavy = {'scipy.optimize', 'multiprocessing'} & set(sys.modules)\n"
+                  "assert not heavy, sorted(heavy)\n")
+
+    def test_first_lp_oracle_call_matches_greedy_worst_case(self):
+        run_fresh("import numpy as np\n"
+                  "from drureg.robustness import DiscreteDistribution, sup_oracle_lp, "
+                  "worst_case_ru\n"
+                  "rng = np.random.default_rng(5)\n"
+                  "dist = DiscreteDistribution(rng.random(40), np.full(40, 1 / 40))\n"
+                  "assert 'scipy.optimize' not in sys.modules\n"
+                  "lp = sup_oracle_lp(dist, 2.5)\n"
+                  "assert abs(lp - worst_case_ru(dist, 2.5).sup_value) < 1e-9, lp\n")

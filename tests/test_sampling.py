@@ -156,6 +156,14 @@ class TestDataset:
         with pytest.raises(SchemaError, match="0 or 1"):
             Dataset.from_csv(path)
 
+    def test_comparison_answers_without_raising(self):
+        # equality is identity: comparing array fields inside a tuple would raise
+        def make():
+            return Dataset(np.array([2, 3]), np.array([[True], [False]]), ("a", "b"), (2, 3))
+        first, second = make(), make()
+        assert first == first
+        assert (first == second) is False
+
     def test_cells_must_be_a_1d_int64_index(self):
         outcomes = np.zeros((2, 1), dtype=bool)
         for cells in (np.zeros((2, 1), dtype=np.int64), np.zeros(2, dtype=np.int32)):
@@ -494,6 +502,14 @@ class TestCsvRoundTrip:
             assert first.read_bytes() == second.read_bytes()
             assert np.array_equal(back.cells, data.cells)
             assert back.outcomes.dtype == bool and np.array_equal(back.outcomes, data.outcomes)
+
+    def test_cell_id_mismatch_rejected(self, tmp_path):
+        # gender 0, age 2 of (2, 3) levels is cell 2, not the written 5
+        path = tmp_path / "d.csv"
+        Dataset(np.array([2, 3]), np.array([[True], [False]]), ("gender", "age"), (2, 3)).to_csv(path)
+        path.write_text(path.read_text().replace("0,2,1,2", "0,2,1,5"))
+        with pytest.raises(SchemaError, match="row 1 has cell_id 5, but its levels give cell 2"):
+            Dataset.from_csv(path)
 
     @pytest.mark.parametrize("level", [3, -1])
     def test_level_out_of_range_rejected(self, tmp_path, level):
