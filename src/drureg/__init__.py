@@ -69,6 +69,7 @@ from .sampling import (
     default_population_spec,
     estimate_true_meta,
     generate_population,
+    grid_levels,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,7 +38,7 @@ from .harness import _derive_seed, histogram_data, run_sweep, summarize
 from .losses import LossSpec, MetaInfo
 from .nn import init_networks, one_hot_encode, train
 from .robustness import DiscreteDistribution, sup_oracle_lp, worst_case_dru, worst_case_ru
-from .sampling import Dataset, biased_sample, generate_population
+from .sampling import Dataset, biased_sample, generate_population, grid_levels
 
 
 def _resolve_common(args) -> tuple[dict, Path, int, int]:
@@ -103,7 +103,7 @@ def cmd_generate(args) -> int:
     bias = bias_spec_from_config(resolved, _derive_seed(seed, 2))
     outputs = ["population.csv", "population.provenance.json"]
     for t in range(population.n_targets):
-        sample = biased_sample(population, bias, t)
+        (sample,) = biased_sample(population, [bias], t)
         sample.to_csv(out_dir / f"sample_target_{t}.csv")
         outputs += [f"sample_target_{t}.csv", f"sample_target_{t}.provenance.json"]
     _write_manifest(out_dir, "generate", resolved, outputs, {
@@ -126,9 +126,8 @@ def cmd_train(args) -> int:
             f"data has no outcome column target_{target}; "
             f"columns go up to target_{data.n_targets - 1}")
     subset = model_cfg["covariates"] or list(data.covariate_names)
-    cols = data.column_index(subset)
-    counts = [data.level_counts[c] for c in cols]
-    features = one_hot_encode(data.covariates[:, cols], counts)
+    counts = [data.level_counts[c] for c in data.column_index(subset)]
+    features = one_hot_encode(grid_levels(counts), counts)[data.cell_index(subset)]
     y = data.outcomes[:, target].astype(float)
 
     loss = LossSpec.from_dict({**model_cfg, "kind": model_cfg["loss"]})
@@ -202,8 +201,8 @@ def cmd_sweep(args) -> int:
     result = run_sweep(
         populations, bias_specs, resolved["covariate_subsets"], resolved["methods"],
         train_config_from_config(resolved),
-        sweep_config_from_config(resolved, jobs=jobs),
-        base_seed=seed,
+        sweep_config_from_config(resolved),
+        base_seed=seed, jobs=jobs,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -44,9 +44,7 @@ DEFAULT_CONFIG = {
         ["gender", "age", "area", "education", "employment", "past_vote"],
         ["gender", "age"],
     ],
-    # jobs is an execution knob, kept out of the scientific config
-    "sweep": {"n_replicates": 50,
-              **{k: v for k, v in asdict(SweepConfig()).items() if k != "jobs"}},
+    "sweep": {"n_replicates": 50, **asdict(SweepConfig())},
     "oracle": {
         "n_instances": 100,
         "max_points": 20,
@@ -233,6 +231,5 @@ def train_config_from_config(resolved: dict) -> TrainConfig:
     return TrainConfig(**resolved["train"])
 
 
-def sweep_config_from_config(resolved: dict, jobs: int) -> SweepConfig:
-    sweep = {k: v for k, v in resolved["sweep"].items() if k != "n_replicates"}
-    return SweepConfig(**sweep, jobs=jobs)
+def sweep_config_from_config(resolved: dict) -> SweepConfig:
+    return SweepConfig(**{k: v for k, v in resolved["sweep"].items() if k != "n_replicates"})

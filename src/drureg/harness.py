@@ -11,7 +11,7 @@ population, never on the evaluation sample.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .losses import LossSpec, MetaInfo
 from .nn import Fit, TrainConfig, init_networks, one_hot_encode, split_sizes, train_stack
 from .poststrat import build_cell_table, poststratify
 from .robustness import eta
-from .sampling import BiasSpec, biased_sample, estimate_true_meta, generate_population
+from .sampling import biased_sample, estimate_true_meta, generate_population, grid_levels
 
 
 def _squared(meta: MetaInfo | None) -> LossSpec:
@@ -166,10 +166,9 @@ class SweepConfig:
     prev_sample_size: int = 20_000
     meta_min_cell_rows: int = 5
     hidden_width: int = 4
-    jobs: int = 1
 
     def __post_init__(self) -> None:
-        for key in ("prev_sample_size", "hidden_width", "meta_min_cell_rows", "jobs"):
+        for key in ("prev_sample_size", "hidden_width", "meta_min_cell_rows"):
             if not getattr(self, key) >= 1:  # also rejects NaN
                 raise ConfigError(f"sweep.{key} must be >= 1, got {getattr(self, key)!r}")
 
@@ -191,26 +190,21 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     n_targets = population.n_targets
 
     # held-out "previous election" sample: same bias process, its own stream
-    prev_bias = BiasSpec(
-        gamma_true=bias.gamma_true,
-        d_true=bias.d_true,
-        n_sample=sweep_cfg.prev_sample_size,
-        seed=_derive_seed(bias.seed, 1),
-    )
-    # a target's two draws share (gamma, d), so back to back they share one
+    prev_bias = replace(bias, n_sample=sweep_cfg.prev_sample_size, seed=_derive_seed(bias.seed, 1))
+    # a target's two draws share (gamma, d), so one call draws both from one
     # row CDF; the previous-election sample is dropped once its meta is known
     informed: list[MetaInfo] | Exception = []
     samples = []
     for t in range(n_targets):
+        prev, sample = biased_sample(population, (prev_bias, bias), t)
         if not isinstance(informed, Exception):
             try:
                 informed.append(estimate_true_meta(
-                    biased_sample(population, prev_bias, t), population, t,
-                    min_cell_rows=sweep_cfg.meta_min_cell_rows,
-                ))
+                    prev, population, t, min_cell_rows=sweep_cfg.meta_min_cell_rows))
             except Exception as exc:  # noqa: BLE001 - only the informed methods lose this replicate
                 informed = exc
-        samples.append(biased_sample(population, bias, t))
+        del prev
+        samples.append(sample)
     y_true = [population.target_mean(t) for t in range(n_targets)]
     y_unweighted = [samples[t].target_mean(t) for t in range(n_targets)]
 
@@ -220,7 +214,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
-        cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
+        cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
         design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
         cells = [sample.cell_index(subset) for sample in samples]
         populated = table.fractions > 0
@@ -283,15 +277,17 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
 
 def run_sweep(populations, bias_specs, covariate_subsets, methods,
               cfg: TrainConfig, sweep_cfg: SweepConfig = SweepConfig(),
-              base_seed: int = 0) -> SweepResult:
+              base_seed: int = 0, jobs: int = 1) -> SweepResult:
     """Train/score every (replicate, covariate subset, method) permutation.
 
     populations and bias_specs pair up one replicate each; methods are
-    method kinds, keys of METHODS. Replicates run in parallel when
-    sweep_cfg.jobs > 1; the result ordering depends only on run keys.
+    method kinds, keys of METHODS. Replicates run in `jobs` worker processes
+    when jobs > 1; the results depend only on run keys, never on jobs.
     """
     if not populations or not bias_specs or not covariate_subsets or not methods:
         raise ConfigError("populations, bias_specs, covariate_subsets and methods must be non-empty")
+    if not jobs >= 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
     if len(populations) != len(bias_specs):
         raise ConfigError("need exactly one bias spec per population replicate")
     entries = [lookup_method(kind) for kind in methods]  # every kind, before any work
@@ -309,11 +305,11 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
         (idx, pop, bias, subsets, methods, cfg, sweep_cfg, base_seed)
         for idx, (pop, bias) in enumerate(zip(populations, bias_specs))
     ]
-    if sweep_cfg.jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(payloads) > 1:
         # multiprocessing loads only when a sweep runs replicates in parallel
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=sweep_cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_replicate, payloads))
     else:
         outcomes = [_run_replicate(p) for p in payloads]

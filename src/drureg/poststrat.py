@@ -35,10 +35,6 @@ class CellTable:
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"cell fractions sum to {total!r}, expected 1")
 
-    def cell_levels(self) -> np.ndarray:
-        """Level indices of every cell, one row per entry of `fractions`."""
-        return np.indices(self.level_counts).reshape(len(self.level_counts), -1).T
-
 
 def build_cell_table(population: Dataset, covariate_subset) -> CellTable:
     """Empirical joint frequencies of the subset's cross-tabulation."""

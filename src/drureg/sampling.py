@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,11 @@ DEFAULT_COVARIATES = (
 DEFAULT_TARGET_SHARES = (0.35, 0.25, 0.15, 0.12, 0.08)
 
 DEFAULT_EFFECT_SCALE = 0.2
+
+
+def grid_levels(level_counts) -> np.ndarray:
+    """Level indices of every cell of a grid, one row per flat cell index."""
+    return np.indices(level_counts).reshape(len(level_counts), -1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +103,7 @@ def default_population_spec(n_population: int = 100_000, n_targets: int = 5,
     rng = np.random.default_rng(seed)
     counts = [c for _, c in covariate_levels]
     effects = [rng.uniform(-effect_scale, effect_scale, size=(c, n_targets)) for c in counts]
-    cells = np.indices(counts).reshape(len(counts), -1).T
+    cells = grid_levels(counts)
     tilt = np.zeros((cells.shape[0], n_targets))
     for j, effect in enumerate(effects):
         tilt += effect[cells[:, j]]
@@ -145,18 +151,16 @@ class BiasSpec:
         }
 
 
-@dataclass(eq=False)  # a generated __eq__ would compare arrays inside a tuple
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays inside a tuple
 class Dataset:
-    """Rows of a read-only int64 full-grid cell index `cells`, from which the
-    covariates are derived, plus an (n_rows, n_targets) bool outcome array."""
+    """Rows of an int64 full-grid cell index `cells`, from which the covariates
+    are derived, plus an (n_rows, n_targets) bool outcome array; both read-only."""
 
     cells: np.ndarray
     outcomes: np.ndarray
     covariate_names: tuple[str, ...]
     level_counts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
-    # (key, cdf) of the last row CDF _row_cdf built; one slot, so one CDF at most
-    _last_cdf: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cells.ndim != 1 or self.cells.dtype != np.int64 or self.outcomes.ndim != 2:
@@ -168,7 +172,7 @@ class Dataset:
         self.column_index(self.covariate_names)  # rejects a repeated name
         if self.outcomes.dtype != bool:
             raise SchemaError("outcomes must be binary: a bool array")
-        self.cells.flags.writeable = False
+        self.cells.flags.writeable = self.outcomes.flags.writeable = False  # keeps cell_counts valid
 
     @property
     def covariates(self) -> np.ndarray:
@@ -182,6 +186,10 @@ class Dataset:
     @property
     def n_targets(self) -> int:
         return self.outcomes.shape[1]
+
+    def check_target(self, target_index: int) -> None:
+        if not 0 <= target_index < self.n_targets:
+            raise ParameterError(f"target_index {target_index} is outside [0, {self.n_targets})")
 
     def _subset_columns(self, subset) -> tuple[np.ndarray, tuple[int, ...]]:
         cols = self.column_index(self.covariate_names if subset is None else subset)
@@ -199,8 +207,7 @@ class Dataset:
         if subset is None:
             return self.cells
         cols, counts = self._subset_columns(subset)
-        grid = np.unravel_index(np.arange(self.n_cells()), self.level_counts)
-        return np.ravel_multi_index(tuple(grid[c] for c in cols), counts)[self.cells]
+        return np.ravel_multi_index(grid_levels(self.level_counts)[:, cols].T, counts)[self.cells]
 
     @cached_property
     def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +226,7 @@ class Dataset:
 
     def target_mean(self, target_index: int) -> float:
         """Share of rows with outcome 1: an exact count over n, as `outcomes.mean()`."""
+        self.check_target(target_index)
         return float(self.cell_counts[1][:, target_index].sum() / self.n_rows)
 
     def column_index(self, subset_names) -> np.ndarray:
@@ -345,12 +353,7 @@ def _sampling_weights_up(mu: np.ndarray, gamma: float) -> tuple[np.ndarray, np.n
 
 
 def _row_cdf(population: Dataset, target_index: int, gamma: float, direction: int) -> np.ndarray:
-    """Normalized cumulative row weights of the (gamma, d) tilt on one target;
-    the population keeps the last one, which two draws with that key share."""
-    key = (target_index, gamma, direction)
-    if population._last_cdf[0] == key:
-        return population._last_cdf[1]
-    population._last_cdf = (None, None)
+    """Normalized cumulative row weights of the (gamma, d) tilt on one target."""
     cells = population.cells
     cell_rows, cell_ones = population.cell_counts
     y = population.outcomes[:, target_index]
@@ -365,47 +368,53 @@ def _row_cdf(population: Dataset, target_index: int, gamma: float, direction: in
     cdf /= cdf.sum()  # the row probabilities, then in place their running sum
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    population._last_cdf = (key, cdf)
     return cdf
 
 
-def biased_sample(population: Dataset, bias: BiasSpec, target_index: int) -> Dataset:
-    """Importance-resample the population into a sample biased on one target.
+def biased_sample(population: Dataset, biases: Sequence[BiasSpec],
+                  target_index: int) -> list[Dataset]:
+    """Importance-resample the population into one sample per bias spec, each
+    biased on one target, whose (gamma, d) the specs must agree on.
 
     Rows are drawn with replacement, with probability proportional to the
     two-level within-cell weights, so that sign(population mean - sample
     mean) = d_true in expectation and every within-cell outcome-conditional
-    density ratio stays inside [1/gamma, gamma].
+    density ratio stays inside [1/gamma, gamma]. All draws share one row CDF,
+    and each has its own generator, seeded by its spec's seed and the target.
     """
-    if not (0 <= target_index < population.n_targets):
-        raise ParameterError(f"target_index {target_index} out of range")
-    cdf = _row_cdf(population, target_index, bias.gamma_true[target_index],
-                   bias.d_true[target_index])
-    rng = np.random.default_rng(np.random.SeedSequence((bias.seed, target_index)))
-    # inverse CDF on sorted uniforms: sorted rng.choice(n_rows, n_sample, p=probs), bit for bit
-    chosen = cdf.searchsorted(np.sort(rng.random(bias.n_sample)), side="right")
-
-    cells = population.cells[chosen]
+    population.check_target(target_index)
+    keys = {(bias.gamma_true[target_index], bias.d_true[target_index]) for bias in biases}
+    if len(keys) != 1:
+        raise ParameterError(f"bias specs must agree on target {target_index}: {sorted(keys)}")
+    cdf = _row_cdf(population, target_index, *keys.pop())
     cell_rows = population.cell_counts[0]
-    sample_rows = np.bincount(cells, minlength=cell_rows.size)
-    empty_cells = int(((cell_rows > 0) & (sample_rows == 0)).sum())
-    provenance = {
-        "kind": "biased_sample",
-        "bias": bias.to_dict(),
-        "target_index": target_index,
-        "population_mean": population.target_mean(target_index),
-        "sample_mean": float(population.outcomes[chosen, target_index].mean()),
-        "warnings": ([f"{empty_cells} populated cells are empty in the sample"]
-                     if empty_cells else []),
-    }
-    # np.take gathers rows about twice as fast as fancy indexing
-    return Dataset(
-        cells=cells,
-        outcomes=np.take(population.outcomes, chosen, axis=0),
-        covariate_names=population.covariate_names,
-        level_counts=population.level_counts,
-        provenance=provenance,
-    )
+    samples = []
+    for bias in biases:
+        rng = np.random.default_rng(np.random.SeedSequence((bias.seed, target_index)))
+        # inverse CDF on sorted uniforms: sorted rng.choice(n_rows, n_sample, p=probs), bit for bit
+        chosen = cdf.searchsorted(np.sort(rng.random(bias.n_sample)), side="right")
+
+        cells = population.cells[chosen]
+        sample_rows = np.bincount(cells, minlength=cell_rows.size)
+        empty_cells = int(((cell_rows > 0) & (sample_rows == 0)).sum())
+        provenance = {
+            "kind": "biased_sample",
+            "bias": bias.to_dict(),
+            "target_index": target_index,
+            "population_mean": population.target_mean(target_index),
+            "sample_mean": float(population.outcomes[chosen, target_index].mean()),
+            "warnings": ([f"{empty_cells} populated cells are empty in the sample"]
+                         if empty_cells else []),
+        }
+        # np.take gathers rows about twice as fast as fancy indexing
+        samples.append(Dataset(
+            cells=cells,
+            outcomes=np.take(population.outcomes, chosen, axis=0),
+            covariate_names=population.covariate_names,
+            level_counts=population.level_counts,
+            provenance=provenance,
+        ))
+    return samples
 
 
 def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int, *,
@@ -421,6 +430,7 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int, 
     if sample.covariate_names != population.covariate_names or \
             sample.level_counts != population.level_counts:
         raise SchemaError("sample and population must share the covariate schema")
+    population.check_target(target_index)
     pop_rows, pop_ones = population.cell_counts
     samp_rows = np.bincount(sample.cells, minlength=pop_rows.size)
     samp_ones = np.bincount(sample.cells[sample.outcomes[:, target_index]], minlength=pop_rows.size)

@@ -139,7 +139,7 @@ def test_sampler_fidelity():
         n_population=200_000, n_targets=1, seed=41,
         covariate_levels=(("gender", 2), ("age", 5), ("area", 4)))
     pop = generate_population(spec)
-    sample = biased_sample(pop, BiasSpec((gamma,), (1,), 100_000, seed=42), 0)
+    sample = biased_sample(pop, [BiasSpec((gamma,), (1,), 100_000, seed=42)], 0)[0]
 
     n_cells = pop.n_cells()
     pc, sc = pop.cell_index(), sample.cell_index()
@@ -168,7 +168,7 @@ def test_sampler_fidelity():
         covariate_levels=(("gender", 2), ("age", 5))))
     mu = pop_small.target_mean(0)
     hits = sum(
-        mu > biased_sample(pop_small, BiasSpec((gamma,), (1,), 10_000, seed=500 + r), 0).target_mean(0)
+        mu > biased_sample(pop_small, [BiasSpec((gamma,), (1,), 10_000, seed=500 + r)], 0)[0].target_mean(0)
         for r in range(100)
     )
     assert hits >= 95
@@ -184,9 +184,8 @@ def test_method_ordering():
         pops, biases, resolved["covariate_subsets"], resolved["methods"],
         train_config_from_config(resolved),
         SweepConfig(prev_sample_size=resolved["sweep"]["prev_sample_size"],
-                    meta_min_cell_rows=resolved["sweep"]["meta_min_cell_rows"],
-                    jobs=JOBS),
-        base_seed=resolved["seed"],
+                    meta_min_cell_rows=resolved["sweep"]["meta_min_cell_rows"]),
+        base_seed=resolved["seed"], jobs=JOBS,
     )
     assert not result.failures
     rows = {row["method"]: row for row in summarize(result)}

@@ -11,6 +11,7 @@ from drureg.config import (
     train_config_from_config,
     validate_config,
 )
+from drureg import sampling
 from drureg.errors import ConfigError, UndefinedScoreError
 from drureg.harness import (
     METHOD_KINDS,
@@ -29,7 +30,13 @@ from drureg.losses import MetaInfo
 from drureg.nn import TrainConfig, one_hot_encode, split_sizes
 from drureg.poststrat import build_cell_table
 from drureg.robustness import eta
-from drureg.sampling import BiasSpec, biased_sample, default_population_spec, generate_population
+from drureg.sampling import (
+    BiasSpec,
+    biased_sample,
+    default_population_spec,
+    generate_population,
+    grid_levels,
+)
 
 
 def small_setup(n_replicates=1, n_population=15_000, n_sample=600, n_targets=2,
@@ -174,11 +181,11 @@ def test_fit_regression_matches_the_per_target_column_stack():
     subset = pop.covariate_names
     table = build_cell_table(pop, subset)
     assert (table.fractions == 0).any()
-    cell_features = one_hot_encode(table.cell_levels(), table.level_counts)
+    cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
     design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
     bias = BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 800, seed=42)
     for t in range(pop.n_targets):
-        sample = biased_sample(pop, bias, t)
+        sample = biased_sample(pop, [bias], t)[0]
         rows, y = sample.cell_index(subset), sample.outcomes[:, t].astype(float)
         a = np.column_stack([cell_features[rows], np.ones(rows.size)])
         beta, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -187,8 +194,7 @@ def test_fit_regression_matches_the_per_target_column_stack():
 
 
 class TestSweepConfig:
-    @pytest.mark.parametrize("key", ["prev_sample_size", "hidden_width", "meta_min_cell_rows",
-                                     "jobs"])
+    @pytest.mark.parametrize("key", ["prev_sample_size", "hidden_width", "meta_min_cell_rows"])
     def test_value_below_one_rejected(self, key):
         with pytest.raises(ConfigError, match=f"sweep.{key}"):
             SweepConfig(**{key: 0})
@@ -206,9 +212,27 @@ class TestRunSweep:
     def test_deterministic_across_jobs(self):
         pops, biases, cfg = small_setup(n_replicates=2)
         kw = dict(covariate_subsets=[["gender"]], methods=["nn_plain"], cfg=cfg, base_seed=2)
-        r1 = run_sweep(pops, biases, sweep_cfg=SweepConfig(prev_sample_size=4000, jobs=1), **kw)
-        r2 = run_sweep(pops, biases, sweep_cfg=SweepConfig(prev_sample_size=4000, jobs=2), **kw)
+        r1 = run_sweep(pops, biases, sweep_cfg=SweepConfig(prev_sample_size=4000), jobs=1, **kw)
+        r2 = run_sweep(pops, biases, sweep_cfg=SweepConfig(prev_sample_size=4000), jobs=2, **kw)
         assert r1.records == r2.records
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        pops, biases, cfg = small_setup()
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(pops, biases, [["gender"]], ["nn_plain"], cfg, jobs=jobs)
+
+    def test_one_row_cdf_per_replicate_and_target(self, monkeypatch):
+        # a target's previous-election and evaluation samples share one CDF
+        built = []
+        row_cdf = sampling._row_cdf
+        monkeypatch.setattr(sampling, "_row_cdf", lambda population, t, gamma, d:
+                            built.append(t) or row_cdf(population, t, gamma, d))
+        pops, biases, cfg = small_setup(n_replicates=2)
+        result = run_sweep(pops, biases, [["gender"]], ["regression_poststrat"], cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=2)
+        assert not result.failures
+        assert built == [0, 1, 0, 1]
 
     def test_failed_runs_are_recorded_and_sweep_continues(self):
         pops, biases, cfg = small_setup()
@@ -256,7 +280,7 @@ class TestRunSweep:
                 cells = {tuple(row) for row in population.covariates[:, cols].tolist()}
                 unseen = []
                 for t in range(population.n_targets):
-                    sample = biased_sample(population, bias, t)
+                    sample = biased_sample(population, [bias], t)[0]
                     seen = {tuple(row) for row in sample.covariates[:, cols].tolist()}
                     unseen.append(len(cells - seen))
                 expected.append({"replicate": replicate, "subset": "+".join(subset),
@@ -276,7 +300,7 @@ class TestRunSweep:
             gamma=1.0, directions=(1, -1, 1, -1, -1), seed=100)
         result = run_sweep(pops, biases, [["gender", "age"]],
                            ["regression_poststrat", "nn_plain"], cfg,
-                           SweepConfig(prev_sample_size=3000, jobs=2), base_seed=4)
+                           SweepConfig(prev_sample_size=3000), base_seed=4, jobs=2)
         assert not result.failures
         by_method = {}
         for (_, _, method), b in result.run_b_values().items():

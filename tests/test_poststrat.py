@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, SchemaError, ShapeError
 from drureg.poststrat import CellTable, build_cell_table, poststratify
-from drureg.sampling import Dataset, default_population_spec, generate_population
+from drureg.sampling import Dataset, default_population_spec, generate_population, grid_levels
 
 
 def make_dataset(columns, names, counts, n_targets=1):
@@ -97,7 +97,8 @@ class TestBuildCellTable:
         table = build_cell_table(data, ["a", "b"])
         assert table.level_counts == (2, 3)
         assert np.array_equal(table.fractions, [0.2, 0.0, 0.3, 0.0, 0.4, 0.1])
-        assert np.array_equal(table.cell_levels()[[0, 2, 4, 5]], [[0, 0], [0, 2], [1, 1], [1, 2]])
+        assert np.array_equal(grid_levels(table.level_counts)[[0, 2, 4, 5]],
+                              [[0, 0], [0, 2], [1, 1], [1, 2]])
 
     @pytest.mark.parametrize("subset", [["age", "gender"], ["past_vote", "area", "gender"]])
     def test_matches_the_subset_bincount_in_any_name_order(self, subset):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from drureg.errors import ConfigError, EstimationError, SchemaError
+from drureg.errors import ConfigError, EstimationError, ParameterError, SchemaError
 from drureg.losses import MetaInfo
 from drureg.sampling import (
     BiasSpec,
@@ -111,6 +111,20 @@ class TestCellIndex:
             cells[0] = 1
         # a subset index is computed fresh and belongs to the caller
         pop.cell_index(["age"])[0] = 0
+
+    def test_outcomes_field_is_read_only(self):
+        # cell_counts is computed once, so a write to outcomes would leave it stale
+        pop = generate_population(default_population_spec(n_population=5_000, seed=2))
+        mean = pop.target_mean(0)
+        with pytest.raises(ValueError):
+            pop.outcomes[:, 0] = False
+        with pytest.raises(AttributeError):  # nor can the field be swapped
+            pop.outcomes = np.zeros_like(pop.outcomes)
+        assert pop.target_mean(0) == mean == float(pop.outcomes[:, 0].mean())
+        outcomes = np.zeros((3, 1), dtype=bool)
+        Dataset(np.array([0, 3, 1], dtype=np.int64), outcomes, ("a", "b"), (2, 2))
+        with pytest.raises(ValueError):
+            outcomes[0, 0] = True
 
     def test_cached_counts_equal_fresh_bincounts(self):
         pop = generate_population(default_population_spec(n_population=5_000, n_targets=3, seed=2))
@@ -220,7 +234,7 @@ class TestGeneratePopulation:
 
     def test_target_mean_is_the_outcome_mean_bit_for_bit(self):
         pop = generate_population(default_population_spec(n_population=30_001, seed=26))
-        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 7_003, seed=27), 2)
+        sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 7_003, seed=27)], 2)[0]
         for data in (pop, sample):
             for t in range(data.n_targets):
                 assert data.target_mean(t).hex() == float(data.outcomes[:, t].mean()).hex()
@@ -294,38 +308,62 @@ class TestBiasedSample:
         bias = BiasSpec((gamma,) * 2, (direction,) * 2, 3_000, seed=22)
         expected, reference = choice_draw(pop, bias, target)
         made = len(generators)
-        sample = biased_sample(pop, bias, target)
+        sample = biased_sample(pop, [bias], target)[0]
         assert np.array_equal(sample.covariates, pop.covariates[expected])
         assert np.array_equal(sample.outcomes, pop.outcomes[expected])
         assert len(generators) == made + 1  # biased_sample makes one generator
         assert generators[-1].bit_generator.state == reference.bit_generator.state
 
-    def test_draws_on_one_population_match_draws_on_fresh_ones(self, generators):
-        # A population keeps the row CDF of its last (target, gamma, d). Each
-        # draw below changes one of the three, or only the seed and size, and
-        # must give the sample and generator state of the same draw made
-        # alone on a fresh population.
-        draws = [
-            (BiasSpec((2.0, 2.0), (1, 1), 4_000, seed=30), 0),  # previous-election draw
-            (BiasSpec((2.0, 2.0), (1, 1), 1_500, seed=31), 0),  # evaluation draw, same key
-            (BiasSpec((2.0, 2.0), (1, 1), 1_500, seed=31), 1),  # another target
-            (BiasSpec((2.0, 3.0), (1, 1), 1_500, seed=32), 1),  # another gamma
-            (BiasSpec((2.0, 3.0), (1, -1), 1_500, seed=32), 1),  # another direction
-            (BiasSpec((2.0, 3.0), (1, -1), 2_500, seed=33), 0),  # back to the first key
-        ]
+    @pytest.mark.parametrize("target, gammas, directions", [
+        (0, [(2.0, 2.0), (2.0, 3.0)], [(1, -1), (1, 1)]),
+        (1, [(2.0, 3.0), (3.0, 3.0)], [(1, -1), (-1, -1)]),
+    ])
+    def test_one_call_draws_each_spec_as_a_one_off_draw(self, generators, target, gammas,
+                                                          directions):
+        # a previous-election and an evaluation spec: the same (gamma, d) on
+        # the target, other seeds and sizes, and another (gamma, d) elsewhere
+        biases = [BiasSpec(gammas[0], directions[0], 4_000, seed=30),
+                  BiasSpec(gammas[1], directions[1], 1_500, seed=31)]
         pop = generate_population(degenerate_spec())
-        for bias, t in draws:
-            sample = biased_sample(pop, bias, t)
-            state = generators[-1].bit_generator.state
-            alone = biased_sample(generate_population(degenerate_spec()), bias, t)
-            assert np.array_equal(sample.covariates, alone.covariates)
+        made = len(generators)
+        samples = biased_sample(pop, biases, target)
+        states = [g.bit_generator.state for g in generators[made:]]
+        assert len(samples) == len(states) == 2
+        for sample, state, bias in zip(samples, states, biases):
+            alone = biased_sample(pop, [bias], target)[0]
+            assert np.array_equal(sample.cells, alone.cells)
             assert np.array_equal(sample.outcomes, alone.outcomes)
             assert sample.provenance == alone.provenance
             assert state == generators[-1].bit_generator.state
 
+    @pytest.mark.parametrize("other", [BiasSpec((3.0, 2.0), (1, 1), 1_000, seed=31),
+                                       BiasSpec((2.0, 2.0), (-1, 1), 1_000, seed=31)],
+                             ids=["gamma", "direction"])
+    def test_specs_that_disagree_on_the_target_rejected(self, other):
+        pop = generate_population(degenerate_spec())
+        bias = BiasSpec((2.0, 2.0), (1, 1), 1_000, seed=30)
+        with pytest.raises(ParameterError, match="agree"):
+            biased_sample(pop, [bias, other], 0)
+        with pytest.raises(ParameterError, match="agree"):
+            biased_sample(pop, [], 0)
+        # they agree on target 1, so they draw together there
+        assert len(biased_sample(pop, [bias, other], 1)) == 2
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_index_outside_range_rejected(self, target):
+        pop = generate_population(degenerate_spec())
+        bias = BiasSpec((2.0, 2.0), (1, 1), 1_000, seed=30)
+        sample = biased_sample(pop, [bias], 0)[0]
+        with pytest.raises(ParameterError, match="target_index"):
+            biased_sample(pop, [bias], target)
+        with pytest.raises(ParameterError, match="target_index"):
+            pop.target_mean(target)
+        with pytest.raises(ParameterError, match="target_index"):
+            estimate_true_meta(sample, pop, target, min_cell_rows=1)
+
     def test_sample_cell_index_is_read_only_and_fresh_equal(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=34))
-        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35), 1)
+        sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35)], 1)[0]
         cells = sample.cell_index()
         assert not cells.flags.writeable
         assert np.array_equal(cells, np.ravel_multi_index(sample.covariates.T, sample.level_counts))
@@ -336,21 +374,21 @@ class TestBiasedSample:
     def test_gamma_one_is_unbiased_subsample(self):
         pop = generate_population(flat_spec(0.5))
         bias = BiasSpec(gamma_true=(1.0,), d_true=(1,), n_sample=50_000, seed=4)
-        sample = biased_sample(pop, bias, 0)
+        sample = biased_sample(pop, [bias], 0)[0]
         assert abs(sample.target_mean(0) - pop.target_mean(0)) < 0.01
 
     def test_undersamples_high_outcomes(self):
         # mean 0.5 <= eta(2): the sample mean lands at mu / gamma = 0.25
         pop = generate_population(flat_spec(0.5))
         bias = BiasSpec(gamma_true=(2.0,), d_true=(1,), n_sample=100_000, seed=5)
-        sample = biased_sample(pop, bias, 0)
+        sample = biased_sample(pop, [bias], 0)[0]
         assert sample.target_mean(0) == pytest.approx(pop.target_mean(0) / 2, abs=0.01)
         assert sample.target_mean(0) < pop.target_mean(0)
 
     def test_direction_flip_mirrors_the_shift(self):
         pop = generate_population(flat_spec(0.5))
-        up = biased_sample(pop, BiasSpec((2.0,), (1,), 20_000, 6), 0)
-        down = biased_sample(pop, BiasSpec((2.0,), (-1,), 20_000, 6), 0)
+        up = biased_sample(pop, [BiasSpec((2.0,), (1,), 20_000, 6)], 0)[0]
+        down = biased_sample(pop, [BiasSpec((2.0,), (-1,), 20_000, 6)], 0)[0]
         mu = pop.target_mean(0)
         assert up.target_mean(0) < mu < down.target_mean(0)
 
@@ -364,7 +402,7 @@ class TestBiasedSample:
         gamma = 2.0
         bias = BiasSpec((gamma,) * 2, (1, -1), 100_000, seed=8)
         for t in range(2):
-            sample = biased_sample(pop, bias, t)
+            sample = biased_sample(pop, [bias], t)[0]
             n_cells = pop.n_cells()
             pc, sc = pop.cell_index(), sample.cell_index()
             pop_rows = np.bincount(pc, minlength=n_cells)
@@ -395,7 +433,7 @@ class TestBiasedSample:
             covariate_levels=(("gender", 2), ("age", 5))))
         mu = pop.target_mean(0)
         hits = sum(
-            mu > biased_sample(pop, BiasSpec((2.0,), (1,), 10_000, seed=100 + r), 0).target_mean(0)
+            mu > biased_sample(pop, [BiasSpec((2.0,), (1,), 10_000, seed=100 + r)], 0)[0].target_mean(0)
             for r in range(20)
         )
         assert hits == 20
@@ -403,15 +441,15 @@ class TestBiasedSample:
     def test_fixed_seed_reproduces(self):
         pop = generate_population(flat_spec(0.4, n=20_000))
         bias = BiasSpec((1.7,), (1,), 5_000, seed=11)
-        a = biased_sample(pop, bias, 0)
-        b = biased_sample(pop, bias, 0)
+        a = biased_sample(pop, [bias], 0)[0]
+        b = biased_sample(pop, [bias], 0)[0]
         assert np.array_equal(a.covariates, b.covariates)
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_provenance_records_bias_and_warnings(self):
         pop = generate_population(default_population_spec(n_population=30_000, seed=13))
         bias = BiasSpec((2.0,) * 5, (1,) * 5, 500, seed=14)
-        sample = biased_sample(pop, bias, 0)
+        sample = biased_sample(pop, [bias], 0)[0]
         assert sample.provenance["bias"]["gamma_true"] == [2.0] * 5
         # 1440 cells vs 500 rows: some populated cells must be empty
         assert sample.provenance["warnings"]
@@ -420,13 +458,13 @@ class TestBiasedSample:
 class TestEstimateTrueMeta:
     def test_unbiased_sample_gives_gamma_near_one(self):
         pop = generate_population(flat_spec(0.35))
-        sample = biased_sample(pop, BiasSpec((1.0,), (1,), 100_000, seed=15), 0)
+        sample = biased_sample(pop, [BiasSpec((1.0,), (1,), 100_000, seed=15)], 0)[0]
         meta = estimate_true_meta(sample, pop, 0, min_cell_rows=30)
         assert abs(meta.gamma - 1.0) <= 0.15
 
     def test_direction_sign_definition(self):
         pop = generate_population(flat_spec(0.5, n=5_000))
-        sample = biased_sample(pop, BiasSpec((2.0,), (1,), 2_000, seed=16), 0)
+        sample = biased_sample(pop, [BiasSpec((2.0,), (1,), 2_000, seed=16)], 0)[0]
         meta = estimate_true_meta(sample, pop, 0, min_cell_rows=10)
         assert meta.direction == 1
 
@@ -434,7 +472,7 @@ class TestEstimateTrueMeta:
         pop = generate_population(default_population_spec(
             n_population=100_000, n_targets=1, seed=17,
             covariate_levels=(("gender", 2), ("age", 5), ("area", 4))))
-        sample = biased_sample(pop, BiasSpec((2.0,), (1,), 100_000, seed=18), 0)
+        sample = biased_sample(pop, [BiasSpec((2.0,), (1,), 100_000, seed=18)], 0)[0]
         meta = estimate_true_meta(sample, pop, 0, min_cell_rows=30)
         assert 1.6 <= meta.gamma <= 2.4
         assert meta.direction == 1
@@ -446,7 +484,7 @@ class TestEstimateTrueMeta:
 
     def test_error_when_no_cell_qualifies(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=19))
-        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1,) * 5, 200, seed=20), 0)
+        sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1,) * 5, 200, seed=20)], 0)[0]
         with pytest.raises(EstimationError, match="30"):
             estimate_true_meta(sample, pop, 0, min_cell_rows=30)
 
@@ -493,7 +531,7 @@ class TestCsvRoundTrip:
 
     def test_population_and_sample_survive_a_write_read_write(self, tmp_path):
         pop = generate_population(default_population_spec(n_population=3_000, seed=24))
-        sample = biased_sample(pop, BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 700, seed=25), 3)
+        sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 700, seed=25)], 3)[0]
         for name, data in (("pop", pop), ("sample", sample)):
             first, second = tmp_path / f"{name}.csv", tmp_path / f"{name}2.csv"
             data.to_csv(first)
