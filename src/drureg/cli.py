@@ -1,8 +1,11 @@
 """Command-line entry point: generate data, train one model, verify the
 worst-case oracles, or run the full method-comparison sweep.
 
-Every command resolves its configuration (flags > DRUREG_* environment
-variables > config file > defaults), then writes a manifest pinning the
+Each of --config/--out/--seed/--jobs comes from its flag, else its DRUREG_*
+variable (parsed like the flag: a malformed one exits 2), else its default: no
+config file, out, the config's seed, all cores. Seeds must be >= 0. Only sweep
+uses --jobs, starting at most one worker per replicate; the other commands
+only check that it is >= 1. Every command writes a manifest pinning the
 resolved config and seed; rerunning any command with --config pointed at its
 manifest reproduces the outputs byte for byte.
 
@@ -42,32 +45,13 @@ from .sampling import Dataset, biased_sample, generate_population, grid_levels
 
 
 def _resolve_common(args) -> tuple[dict, Path, int, int]:
-    def env_int(name: str):
-        raw = os.environ.get(name)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise DruRegError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-    config_path = args.config or os.environ.get("DRUREG_CONFIG")
-    resolved = load_config(config_path) if config_path else validate_config({})
-    out_dir = args.out or os.environ.get("DRUREG_OUT") or "out"
-    seed = args.seed
-    if seed is None:
-        seed = env_int("DRUREG_SEED")
-    if seed is None:
-        seed = resolved["seed"]
-    resolved["seed"] = int(seed)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = env_int("DRUREG_JOBS")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigError(f"--jobs (or DRUREG_JOBS) must be >= 1, got {jobs}")
-    return resolved, Path(out_dir), int(seed), int(jobs)
+    resolved = load_config(args.config) if args.config else {}
+    if args.seed is not None:
+        resolved = {**resolved, "seed": args.seed}
+    resolved = validate_config(resolved)  # checks a flag's or variable's seed too
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs (or DRUREG_JOBS) must be >= 1, got {args.jobs}")
+    return resolved, args.out, resolved["seed"], args.jobs
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict,
@@ -97,10 +81,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_generate(args) -> int:
     resolved, out_dir, seed, _ = _resolve_common(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    population = generate_population(population_spec_from_config(resolved, _derive_seed(seed, 1)))
-    population.to_csv(out_dir / "population.csv")
+    pop_spec = population_spec_from_config(resolved, _derive_seed(seed, 1))
     bias = bias_spec_from_config(resolved, _derive_seed(seed, 2))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    population = generate_population(pop_spec)
+    population.to_csv(out_dir / "population.csv")
     outputs = ["population.csv", "population.provenance.json"]
     for t in range(population.n_targets):
         (sample,) = biased_sample(population, [bias], t)
@@ -121,10 +106,7 @@ def cmd_train(args) -> int:
     data = Dataset.from_csv(args.data)
     model_cfg = resolved["model"]
     target = model_cfg["target"]
-    if not (0 <= target < data.n_targets):
-        raise DruRegError(
-            f"data has no outcome column target_{target}; "
-            f"columns go up to target_{data.n_targets - 1}")
+    data.check_target(target)
     subset = model_cfg["covariates"] or list(data.covariate_names)
     counts = [data.level_counts[c] for c in data.column_index(subset)]
     features = one_hot_encode(grid_levels(counts), counts)[data.cell_index(subset)]
@@ -253,10 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "run the full method-comparison sweep"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="config JSON (or a manifest from a previous run)")
-        cmd.add_argument("--out", help="output directory (default: out)")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--jobs", type=int, help="parallel workers (default: all cores)")
+        cmd.add_argument("--config", default=os.environ.get("DRUREG_CONFIG"),
+                         help="config JSON or a run's manifest (default: $DRUREG_CONFIG)")
+        cmd.add_argument("--out", type=Path, default=os.environ.get("DRUREG_OUT") or "out",
+                         help="output directory (default: $DRUREG_OUT, else out)")
+        cmd.add_argument("--seed", type=int, default=os.environ.get("DRUREG_SEED"),
+                         help="seed >= 0 (default: $DRUREG_SEED, else the config's)")
+        cmd.add_argument("--jobs", type=int,
+                         default=os.environ.get("DRUREG_JOBS", os.cpu_count() or 1),
+                         help="sweep worker processes (default: $DRUREG_JOBS, else all cores)")
         cmd.set_defaults(func=func)
         if name == "train":
             cmd.add_argument("--data", required=True, help="dataset CSV to train on")

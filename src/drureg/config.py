@@ -81,8 +81,9 @@ def _scalar_types() -> dict:
 
 _SCALAR_TYPES = _scalar_types()
 
-# Smallest accepted value of numeric keys below which runs would fail.
-_MINIMUMS = {("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1}
+# Smallest accepted value of numeric keys below which runs would fail; a
+# seed from a flag or DRUREG_SEED is checked here too.
+_MINIMUMS = {("seed",): 0, ("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1}
 
 
 def _has_type(value, types) -> bool:
@@ -135,10 +136,9 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError(f"config key {'.'.join(path)} must be {types}, got {value!r}")
         if not _is_finite(value):
             raise ConfigError(f"config key {'.'.join(path)} must be finite, got {value!r}")
-    for (section, key), minimum in _MINIMUMS.items():
-        if not resolved[section][key] >= minimum:  # also rejects NaN
-            raise ConfigError(f"config key {section}.{key} must be >= {minimum}, "
-                              f"got {resolved[section][key]!r}")
+        if path in _MINIMUMS and value < _MINIMUMS[path]:
+            raise ConfigError(f"config key {'.'.join(path)} must be >= {_MINIMUMS[path]}, "
+                              f"got {value!r}")
     oracle = resolved["oracle"]
     if not oracle["gamma_high"] >= oracle["gamma_low"]:
         raise ConfigError(f"config key oracle.gamma_high must be >= oracle.gamma_low, "
@@ -222,7 +222,8 @@ def bias_spec_from_config(resolved: dict, seed: int) -> BiasSpec:
     directions = [int(d)] * n_targets if isinstance(d, int) else list(d)
     if len(gammas) != n_targets or len(directions) != n_targets:
         raise ConfigError(
-            f"bias vectors must have {n_targets} entries, got {len(gammas)} and {len(directions)}")
+            f"bias.gamma_true and bias.d_true must have {n_targets} entries, "
+            f"got {len(gammas)} and {len(directions)}")
     return BiasSpec(gamma_true=tuple(gammas), d_true=tuple(directions),
                     n_sample=bias["n_sample"], seed=seed)
 

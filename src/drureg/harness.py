@@ -281,8 +281,9 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     """Train/score every (replicate, covariate subset, method) permutation.
 
     populations and bias_specs pair up one replicate each; methods are
-    method kinds, keys of METHODS. Replicates run in `jobs` worker processes
-    when jobs > 1; the results depend only on run keys, never on jobs.
+    method kinds, keys of METHODS. Replicates run in min(jobs, replicates)
+    worker processes when jobs > 1, since a pool may start all its workers at
+    its first task; the results depend only on run keys, never on jobs.
     """
     if not populations or not bias_specs or not covariate_subsets or not methods:
         raise ConfigError("populations, bias_specs, covariate_subsets and methods must be non-empty")
@@ -309,7 +310,7 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
         # multiprocessing loads only when a sweep runs replicates in parallel
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_run_replicate, payloads))
     else:
         outcomes = [_run_replicate(p) for p in payloads]

@@ -189,7 +189,8 @@ class Dataset:
 
     def check_target(self, target_index: int) -> None:
         if not 0 <= target_index < self.n_targets:
-            raise ParameterError(f"target_index {target_index} is outside [0, {self.n_targets})")
+            raise ParameterError(f"target_index {target_index} is outside [0, {self.n_targets}): "
+                                 f"no outcome column target_{target_index}")
 
     def _subset_columns(self, subset) -> tuple[np.ndarray, tuple[int, ...]]:
         cols = self.column_index(self.covariate_names if subset is None else subset)
@@ -383,6 +384,10 @@ def biased_sample(population: Dataset, biases: Sequence[BiasSpec],
     and each has its own generator, seeded by its spec's seed and the target.
     """
     population.check_target(target_index)
+    for bias in biases:
+        if len(bias.gamma_true) != population.n_targets:
+            raise ParameterError(f"a bias spec needs one (gamma, d) per target: "
+                                 f"{population.n_targets}, got {len(bias.gamma_true)}")
     keys = {(bias.gamma_true[target_index], bias.d_true[target_index]) for bias in biases}
     if len(keys) != 1:
         raise ParameterError(f"bias specs must agree on target {target_index}: {sorted(keys)}")
@@ -427,9 +432,9 @@ def estimate_true_meta(sample: Dataset, population: Dataset, target_index: int, 
     stable where raw per-cell ratios would be noise-dominated. The direction
     is the sign of (population mean - sample mean).
     """
-    if sample.covariate_names != population.covariate_names or \
-            sample.level_counts != population.level_counts:
-        raise SchemaError("sample and population must share the covariate schema")
+    if (sample.covariate_names, sample.level_counts, sample.n_targets) != \
+            (population.covariate_names, population.level_counts, population.n_targets):
+        raise SchemaError("sample and population must share the covariate schema and targets")
     population.check_target(target_index)
     pop_rows, pop_ones = population.cell_counts
     samp_rows = np.bincount(sample.cells, minlength=pop_rows.size)

@@ -107,6 +107,7 @@ class TestGenerate:
         ({"gamma_true": 2.0, "d_true": [1, "x", 1]}, "d_true"),
         ({"gamma_true": [2.0, True, 2.0], "d_true": [1, -1, 1]}, "gamma_true"),
         ({"gamma_true": 2.0, "d_true": 1.5}, "d_true"),
+        ({"gamma_true": 2.0, "d_true": [1, -1]}, "d_true"),
     ])
     def test_malformed_bias_vector_exits_2(self, tmp_path, capsys, bias, key):
         bad = tmp_path / "bad_bias.json"
@@ -114,6 +115,7 @@ class TestGenerate:
                                    "bias": bias}))
         assert run("generate", "--config", bad, "--out", tmp_path / "x") == 2
         assert f"bias.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_model_covariates_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad_model.json"
@@ -313,12 +315,60 @@ class TestSweep:
         assert manifest["stats"]["n_failed"] == manifest["stats"]["n_runs"]
         assert manifest["stats"]["failures"]
 
-    def test_env_seed_override(self, toy_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRUREG_SEED", "777")
-        out = tmp_path / "senv"
-        run("generate", "--config", toy_config, "--out", out)
+
+class TestSettingResolution:
+    """Each setting comes from its flag, else its DRUREG_* variable, else the
+    config file, else the default."""
+
+    @pytest.fixture
+    def oracle_config(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"seed": 5, "oracle": {"n_instances": 2}}))
+        return path
+
+    @pytest.mark.parametrize("flag, variable, seed", [
+        (None, None, 5), (None, "6", 6), ("7", "6", 7),
+    ], ids=["config", "variable_beats_config", "flag_beats_variable"])
+    def test_seed_precedence(self, oracle_config, tmp_path, monkeypatch, flag, variable, seed):
+        if variable is not None:
+            monkeypatch.setenv("DRUREG_SEED", variable)
+        out = tmp_path / "or"
+        argv = ["oracle", "--config", oracle_config, "--out", out]
+        assert run(*argv, *(["--seed", flag] if flag else [])) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["resolved_config"]["seed"] == 777
+        assert manifest["resolved_config"]["seed"] == seed
+
+    def test_out_variable_used_without_flag(self, oracle_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DRUREG_OUT", str(tmp_path / "from_env"))
+        assert run("oracle", "--config", oracle_config) == 0
+        assert (tmp_path / "from_env" / "manifest.json").is_file()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variable, value, flag", [
+        ("DRUREG_SEED", "abc", "--seed"), ("DRUREG_JOBS", "x", "--jobs"),
+    ])
+    def test_malformed_variable_is_a_usage_error(self, toy_config, tmp_path, monkeypatch, capsys,
+                                                 variable, value, flag):
+        monkeypatch.setenv(variable, value)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run("generate", "--config", toy_config, "--out", out)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag", "variable"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, source):
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({**TOY_CONFIG, "seed": -1 if source == "config" else 1}))
+        if source == "variable":
+            monkeypatch.setenv("DRUREG_SEED", "-2")
+        out = tmp_path / "out"
+        argv = ["generate", "--config", cfg, "--out", out]
+        assert run(*argv, *(["--seed", -3] if source == "flag" else [])) == 2
+        assert "config key seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def run_fresh(code):

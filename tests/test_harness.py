@@ -1,3 +1,4 @@
+import concurrent.futures
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,33 @@ class TestRunSweep:
         pops, biases, cfg = small_setup()
         with pytest.raises(ConfigError, match="jobs"):
             run_sweep(pops, biases, [["gender"]], ["nn_plain"], cfg, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, n_replicates, workers", [(64, 2, 2), (2, 3, 2)])
+    def test_pool_starts_at_most_one_worker_per_replicate(self, monkeypatch, jobs,
+                                                          n_replicates, workers):
+        # a fork pool starts all max_workers processes at its first task; this
+        # stand-in records the size and maps in this process, starting none
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pops, biases, cfg = small_setup(n_replicates=n_replicates)
+        result = run_sweep(pops, biases, [["gender"]], ["regression_poststrat"], cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=2, jobs=jobs)
+        assert opened == [workers]
+        assert {r.replicate for r in result.records} == set(range(n_replicates))
 
     def test_one_row_cdf_per_replicate_and_target(self, monkeypatch):
         # a target's previous-election and evaluation samples share one CDF

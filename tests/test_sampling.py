@@ -361,6 +361,14 @@ class TestBiasedSample:
         with pytest.raises(ParameterError, match="target_index"):
             estimate_true_meta(sample, pop, target, min_cell_rows=1)
 
+    @pytest.mark.parametrize("bias", [BiasSpec(2.0, 1, 100, seed=0),
+                                      BiasSpec((2.0,) * 6, (1,) * 6, 100, seed=0)],
+                             ids=["short", "long"])
+    def test_bias_vector_without_one_entry_per_target_rejected(self, bias):
+        pop = generate_population(default_population_spec(n_population=2_000, seed=36))
+        with pytest.raises(ParameterError, match=r"one \(gamma, d\) per target: 5, got"):
+            biased_sample(pop, [bias], 3)
+
     def test_sample_cell_index_is_read_only_and_fresh_equal(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=34))
         sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35)], 1)[0]
@@ -493,6 +501,14 @@ class TestEstimateTrueMeta:
         other = generate_population(flat_spec(0.5, n=2_000, covariates=(("gender", 2),)))
         with pytest.raises(SchemaError):
             estimate_true_meta(other, pop, 0, min_cell_rows=30)
+
+    def test_sample_with_fewer_targets_rejected(self):
+        pop = generate_population(default_population_spec(n_population=2_000, seed=37))
+        two = generate_population(default_population_spec(n_population=2_000, n_targets=2,
+                                                           seed=38))
+        sample = biased_sample(two, [BiasSpec((2.0,) * 2, (1, -1), 300, seed=39)], 0)[0]
+        with pytest.raises(SchemaError, match="targets"):
+            estimate_true_meta(sample, pop, 3, min_cell_rows=1)
 
 
 class TestCsvRoundTrip:
