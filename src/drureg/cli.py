@@ -144,7 +144,7 @@ def cmd_oracle(args) -> int:
         probs = rng.random(k) + 0.05
         probs /= probs.sum()
         losses = DiscreteDistribution(values=rng.uniform(0.0, 10.0, k), probs=probs)
-        gamma = float(rng.uniform(oracle_cfg["gamma_low"], oracle_cfg["gamma_high"]))
+        gamma = float(rng.uniform(1.0, 4.0))
         signs = rng.choice((-1, 1), size=k)
         direction = int(rng.choice((-1, 1)))
 

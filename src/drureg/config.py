@@ -3,6 +3,10 @@
 The document is JSON; unknown keys are rejected everywhere so typos fail
 loudly. Execution-environment knobs (output directory, parallelism) are kept
 out of the scientific config so a run manifest pins results, not paths.
+Fixed machinery is not a key either: the validation share and Adam's
+constants are class constants of `TrainConfig`, and `drureg oracle` draws
+gamma from [1, 4]. A manifest that still carries one of those keys is
+rejected as unknown.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ DEFAULT_CONFIG = {
     "oracle": {
         "n_instances": 100,
         "max_points": 20,
-        "gamma_low": 1.0,
-        "gamma_high": 4.0,
     },
     "model": {
         "loss": "squared",
@@ -83,7 +85,7 @@ _SCALAR_TYPES = _scalar_types()
 
 # Smallest accepted value of numeric keys below which runs would fail; a
 # seed from a flag or DRUREG_SEED is checked here too.
-_MINIMUMS = {("seed",): 0, ("oracle", "max_points"): 2, ("oracle", "gamma_low"): 1}
+_MINIMUMS = {("seed",): 0, ("oracle", "max_points"): 2}
 
 
 def _has_type(value, types) -> bool:
@@ -139,10 +141,6 @@ def validate_config(doc: dict) -> dict:
         if path in _MINIMUMS and value < _MINIMUMS[path]:
             raise ConfigError(f"config key {'.'.join(path)} must be >= {_MINIMUMS[path]}, "
                               f"got {value!r}")
-    oracle = resolved["oracle"]
-    if not oracle["gamma_high"] >= oracle["gamma_low"]:
-        raise ConfigError(f"config key oracle.gamma_high must be >= oracle.gamma_low, "
-                          f"got {oracle['gamma_high']!r} < {oracle['gamma_low']!r}")
     for (section, key), types in _PER_TARGET_TYPES.items():
         value = resolved[section][key]
         values = value if isinstance(value, list) else [value]
@@ -150,16 +148,16 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError(f"config key {section}.{key} must be finite {types} or a list "
                               f"of them, got {value!r}")
     model_covariates = resolved["model"]["covariates"]
-    if model_covariates is not None and not (
-            isinstance(model_covariates, list)
-            and all(isinstance(name, str) for name in model_covariates)):
-        raise ConfigError("model.covariates must be null or a list of covariate names")
     if model_covariates is not None:
+        if not (isinstance(model_covariates, list) and model_covariates
+                and all(isinstance(name, str) for name in model_covariates)):
+            raise ConfigError("model.covariates must be null or a non-empty list of "
+                              "covariate names")
         _reject_repeats("model.covariates", model_covariates)
     covariates = resolved["population"]["covariates"]
     if not isinstance(covariates, list) or not covariates or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2
-            and isinstance(pair[0], str) and isinstance(pair[1], int)
+            and isinstance(pair[0], str) and _has_type(pair[1], int)
             for pair in covariates):
         raise ConfigError("population.covariates must be a list of [name, level_count] pairs")
     _reject_repeats("population.covariates", [pair[0] for pair in covariates])

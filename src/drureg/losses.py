@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .robustness import eta
 
 DIRECTION_DOWN = -1
 DIRECTION_NONE = 0
@@ -35,8 +36,7 @@ class MetaInfo:
     direction: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.gamma) or self.gamma < 1.0:
-            raise ParameterError(f"gamma must be finite and >= 1, got {self.gamma}")
+        eta(self.gamma)
         if self.direction not in (DIRECTION_DOWN, DIRECTION_NONE, DIRECTION_UP):
             raise ParameterError(f"direction must be -1, 0 or +1, got {self.direction}")
 

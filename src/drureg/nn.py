@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -220,22 +221,18 @@ class TrainConfig:
     patience: int = 3
     batch_size: int = 12
     learning_rate: float = 0.01
-    validation_fraction: float = 0.1
     improvement_tolerance: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    # fixed, not settable: the validation share and Adam's defaults (Kingma & Ba, 2015)
+    validation_fraction: ClassVar[float] = 0.1
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_epsilon: ClassVar[float] = 1e-8
 
     def __post_init__(self) -> None:
         if self.max_epochs < 0 or self.patience < 0 or self.batch_size < 1:
             raise ConfigError("max_epochs/patience must be >= 0 and batch_size >= 1")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ConfigError("validation_fraction must be in (0, 1)")
         if not (self.learning_rate > 0.0 and self.improvement_tolerance > 0.0):  # also NaN
             raise ConfigError("learning_rate and improvement_tolerance must be positive")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
-                and self.adam_epsilon > 0.0):  # also NaN
-            raise ConfigError("adam_beta1/adam_beta2 must be in [0, 1) and adam_epsilon positive")
 
 
 @dataclass

@@ -70,7 +70,8 @@ def eta(gamma: float) -> float:
 
     Satisfies gamma * (1 - eta) + gamma**-1 * eta = 1: the fraction 1 - eta
     of the mass can carry ratio gamma while the rest carries gamma**-1 and
-    the reweighting stays a valid distribution.
+    the reweighting stays a valid distribution. This is the one check of a
+    ratio bound: every taker of a gamma calls it.
     """
     if not np.isfinite(gamma) or gamma < 1.0:
         raise ParameterError(f"gamma must be finite and >= 1, got {gamma}")
@@ -122,8 +123,7 @@ def _greedy_fill(losses: np.ndarray, probs: np.ndarray, gamma: float,
 def worst_case_ru(losses: DiscreteDistribution, gamma: float) -> WorstCase:
     """Maximize the reweighted mean loss over the box [gamma**-1, gamma]
     with total mass 1, by greedy fill from the highest loss down."""
-    if gamma < 1.0:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
+    eta(gamma)
     raisable = np.ones(losses.values.shape, dtype=bool)
     return _greedy_fill(losses.values, losses.probs, gamma, raisable)
 
@@ -157,8 +157,7 @@ def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -
     # scipy.optimize is most of a cold start, and only this oracle uses it
     from scipy.optimize import linprog
 
-    if gamma < 1.0:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
+    eta(gamma)
     probs = losses.probs
     lo = probs / gamma
     hi = probs * gamma

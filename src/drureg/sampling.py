@@ -71,9 +71,10 @@ class PopulationSpec:
         expected = (int(np.prod(self.level_counts)), self.n_targets)
         if means.shape != expected:
             raise ConfigError(f"cell_means has shape {means.shape}, expected {expected}")
-        outside = ((means < 0) | (means > 1)).any(axis=1)
+        outside = ~((means >= 0) & (means <= 1)).all(axis=1)  # also NaN
         if outside.any():
-            raise ConfigError(f"cell {outside.argmax()} has outcome probabilities outside [0, 1]")
+            raise ConfigError(f"cell {outside.argmax()} has outcome probabilities that are NaN "
+                              f"or outside [0, 1]")
         totals = means.sum(axis=1)
         if (totals > 1.0 + 1e-9).any():
             cell = int(totals.argmax())
@@ -100,6 +101,8 @@ def default_population_spec(n_population: int = 100_000, n_targets: int = 5,
     base = np.asarray(base_shares, dtype=float)[:n_targets]
     if base.size != n_targets:
         raise ConfigError(f"need {n_targets} base shares, got {base.size}")
+    if not ((base >= 0) & (base <= 1)).all():
+        raise ConfigError(f"base shares must be in [0, 1], got {base.tolist()}")
     rng = np.random.default_rng(seed)
     counts = [c for _, c in covariate_levels]
     effects = [rng.uniform(-effect_scale, effect_scale, size=(c, n_targets)) for c in counts]
@@ -107,9 +110,10 @@ def default_population_spec(n_population: int = 100_000, n_targets: int = 5,
     tilt = np.zeros((cells.shape[0], n_targets))
     for j, effect in enumerate(effects):
         tilt += effect[cells[:, j]]
-    means = base * np.exp(tilt)
-    total = means.sum(axis=1, keepdims=True)
-    means = np.where(total > 0.97, means * (0.97 / total), means)
+    with np.errstate(all="ignore"):  # an overflow leaves NaN means, which PopulationSpec rejects
+        means = base * np.exp(tilt)
+        total = means.sum(axis=1, keepdims=True)
+        means = np.where(total > 0.97, means * (0.97 / total), means)
     return PopulationSpec(
         covariate_levels=covariate_levels,
         cell_means=np.clip(means, 0.005, 0.95),
@@ -133,8 +137,8 @@ class BiasSpec:
         directions = tuple(int(d) for d in np.atleast_1d(self.d_true))
         object.__setattr__(self, "gamma_true", gammas)
         object.__setattr__(self, "d_true", directions)
-        if any(g < 1.0 for g in gammas):
-            raise ParameterError(f"gamma_true must be >= 1, got {gammas}")
+        for gamma in gammas:
+            eta(gamma)
         if any(d not in (-1, 1) for d in directions):
             raise ParameterError(f"d_true must be -1 or +1, got {directions}")
         if len(gammas) != len(directions):

@@ -227,9 +227,6 @@ class TestOracle:
 class TestConfigBounds:
     @pytest.mark.parametrize("command, section, key, value, message", [
         ("oracle", "oracle", "max_points", 1, "oracle.max_points"),
-        ("oracle", "oracle", "gamma_low", 0.9, "oracle.gamma_low"),
-        ("oracle", "oracle", "gamma_low", float("nan"), "oracle.gamma_low"),
-        ("oracle", "oracle", "gamma_high", 0.5, "oracle.gamma_high"),
         ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "sweep", "prev_sample_size", 0, "sweep.prev_sample_size"),
@@ -237,10 +234,11 @@ class TestConfigBounds:
         ("sweep", "bias", "n_sample", 1, "bias.n_sample must be >= 2"),
         ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
         ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),
-        ("sweep", "train", "adam_epsilon", float("inf"), "train.adam_epsilon"),
-        ("sweep", "train", "adam_beta1", 1.0, "adam_beta1"),
-        ("sweep", "train", "adam_beta2", -0.5, "adam_beta2"),
-        ("sweep", "train", "adam_epsilon", 0.0, "adam_epsilon"),
+        # a class constant of TrainConfig, not a key
+        ("sweep", "train", "adam_beta1", 0.9, "unknown key(s) ['adam_beta1']"),
+        ("generate", "model", "covariates", [], "model.covariates"),
+        ("generate", "population", "covariates", [["gender", True]], "population.covariates"),
+        ("generate", "population", "effect_scale", 1000.0, "NaN"),  # exp(tilt) overflows
     ])
     def test_value_that_fails_every_run_exits_2(self, tmp_path, capsys, command, section,
                                                  key, value, message):
@@ -250,6 +248,29 @@ class TestConfigBounds:
         out = tmp_path / "out"
         assert run(command, "--config", cfg, "--out", out, "--jobs", 1) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config document must be a JSON object"),
+        ('{"sede": 1}', "'sede'"),
+        ('{"train": 5}', "config section 'train'"),
+        ('{"train": {"max_epochs": "5"}}', "train.max_epochs"),
+        ('{"population": {"covariates": [["gender"]]}}', "population.covariates"),
+        ('{"population": {"base_shares": ["0.4"]}}', "population.base_shares"),
+        ('{"methods": []}', "'methods'"),
+        ('{"covariate_subsets": [[]]}', "'covariate_subsets'"),
+        ("{", None),  # not JSON: the message names the file
+        (None, None),  # no such file
+    ], ids=["not_an_object", "unknown_top_level_key", "section_not_an_object",
+            "scalar_of_wrong_type", "malformed_covariates", "non_numeric_base_shares",
+            "empty_methods", "malformed_subsets", "invalid_json", "unreadable_file"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run("generate", "--config", cfg, "--out", out) == 2
+        assert (message or str(cfg)) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [

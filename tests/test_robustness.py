@@ -11,6 +11,7 @@ from drureg.robustness import (
     worst_case_dru,
     worst_case_ru,
 )
+from drureg.sampling import BiasSpec
 
 
 def uniform_dist(values):
@@ -45,9 +46,18 @@ class TestEta:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < 1.0 for v in values)
 
-    def test_rejects_gamma_below_one(self):
-        with pytest.raises(ParameterError):
-            eta(0.99)
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.5])
+    @pytest.mark.parametrize("taker", [
+        eta,
+        lambda gamma: MetaInfo(gamma=gamma, direction=1),
+        lambda gamma: worst_case_ru(uniform_dist([1.0, 2.0, 3.0]), gamma),
+        lambda gamma: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), gamma),
+        lambda gamma: BiasSpec(gamma_true=(2.0, gamma), d_true=(1, -1), n_sample=10, seed=0),
+    ], ids=["eta", "MetaInfo", "worst_case_ru", "sup_oracle_lp", "BiasSpec"])
+    def test_every_taker_of_gamma_rejects_a_bad_ratio_bound(self, taker, gamma):
+        # NaN compares False with every bound, so only an explicit finiteness check stops it
+        with pytest.raises(ParameterError, match="finite and >= 1"):
+            taker(gamma)
 
 
 class TestCvar:

@@ -41,6 +41,20 @@ class TestPopulationSpec:
             PopulationSpec(covariate_levels=(("gender", 2),), cell_means=np.full((3, 1), 0.5),
                            n_population=10, n_targets=1, seed=0)
 
+    def test_rejects_nan_means(self):
+        # NaN compares False with both bounds; rows in a NaN cell would never vote
+        means = np.full((10, 1), 0.3)
+        means[7, 0] = np.nan
+        with pytest.raises(ConfigError, match="cell 7 .* NaN"):
+            PopulationSpec(covariate_levels=(("gender", 2), ("age", 5)), cell_means=means,
+                           n_population=10, n_targets=1, seed=0)
+
+    @pytest.mark.parametrize("share", [-0.5, 1.5, float("nan")])
+    def test_rejects_base_share_outside_unit_interval(self, share):
+        with pytest.raises(ConfigError, match="base shares must be in"):
+            default_population_spec(n_population=10, seed=0,
+                                     base_shares=[share, 0.25, 0.15, 0.12, 0.08])
+
     def test_cell_means_match_the_per_cell_loop(self):
         # reference: each cell's means built on their own, looked up by the
         # cell's flat index; the arithmetic is the same, so equality is exact
