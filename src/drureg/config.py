@@ -116,8 +116,6 @@ def _merge_section(name: str, given: dict, defaults: dict) -> dict:
 def validate_config(doc: dict) -> dict:
     """Merge a user document over the defaults, rejecting unknown keys and
     wrong scalar types; list-valued fields are normalized downstream."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown top-level config key(s) {sorted(unknown)}")
@@ -191,6 +189,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if isinstance(doc, dict) and "resolved_config" in doc:
         doc = doc["resolved_config"]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(doc).__name__}")
     return validate_config(doc)
 
 

@@ -122,7 +122,6 @@ class LossColumns:
 
     def __init__(self, kind: str, gamma, direction, p) -> None:
         self.kind = kind
-        self.params = (gamma, direction, p)
         self.g_inv = 1.0 / gamma
         if kind == "ru":
             self.a_coef, self.hinge_coef = 1.0 - self.g_inv, gamma - self.g_inv
@@ -139,10 +138,6 @@ class LossColumns:
             raise ParameterError(f"stacked losses need one kind, got {sorted(kinds)}")
         params = zip(*(_params(spec) for spec in specs))
         return cls(kinds.pop(), *(np.array(col, dtype=float)[:, None] for col in params))
-
-    def take(self, keep) -> "LossColumns":
-        """The stacked losses selected by `keep`."""
-        return LossColumns(self.kind, *(col[keep] for col in self.params))
 
     def terms(self, diff, sq, a):
         """(loss, dLoss/dz, dLoss/da) pointwise from the residual diff = z - y,

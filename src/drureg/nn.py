@@ -3,13 +3,14 @@
 Two small networks are trained jointly: a predictor producing z = h(x) and an
 optional auxiliary network producing the non-negative threshold a = alpha(x)
 that the robust losses need. `train_stack` trains many such pairs in lockstep,
-batched along a leading model axis, with h and alpha as two rows of one
-buffer; `train` is its one-fit case.
+with every fit's h and alpha batched along one leading network axis;
+`train` is its one-fit case.
 Everything is plain numpy and deterministic given seeds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import ClassVar
@@ -37,19 +38,20 @@ class LayerSpec:
 
 def _floor(activations):
     """A layer's activation as a floor under its pre-activations z: relu is
-    max(z, 0.0), identity None. Stacked rows that mix the two get a per-row
-    column with -inf for identity, as max(z, -inf) == z and z > -inf for finite z."""
+    max(z, 0.0), identity None. Stacked networks that mix the two get a
+    per-network column with -inf for identity, as max(z, -inf) == z and
+    z > -inf for finite z."""
     if all(a == "identity" for a in activations):
         return None
     if all(a == "relu" for a in activations):
         return 0.0
-    return np.array([0.0 if a == "relu" else -np.inf for a in activations])[:, None, None, None]
+    return np.array([0.0 if a == "relu" else -np.inf for a in activations])[:, None, None]
 
 
 def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W_k, b_k) views of a flat vector laid out as W_0 (row-major,
     shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients.
-    Leading axes, as in an (F, M, P) buffer of stacked networks, are kept."""
+    Leading axes, as in an (N, P) buffer of stacked networks, are kept."""
     views, end = [], 0
     lead = flat.shape[:-1]
     for spec in layers:
@@ -157,7 +159,7 @@ def _forward_cached(net, X: np.ndarray):
     """Forward pass over a batch, keeping per-layer inputs and pre-activations.
 
     `net` is an MLP with X of shape (n, in), or a _Lockstep group with X of
-    shape (M, n, in), one batch per model, shared by the group's F rows."""
+    shape (N, n, in), one batch per network."""
     a = X
     inputs, preacts = [], []
     for w, b, floor in zip(net.weights, net.biases, net.floors):
@@ -184,8 +186,8 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
 
 def _backprop(net, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
     """Write the gradients of sum_i dloss_dout[..., i] * net(x_i) into `grads`,
-    the per-layer (dW, db) views of one flat gradient buffer (with leading
-    (F, M) axes for a _Lockstep group)."""
+    the per-layer (dW, db) views of one flat gradient buffer (with a leading
+    network axis for a _Lockstep group)."""
     delta = dloss_dout[..., None]
     for k in range(len(net.layers) - 1, -1, -1):
         floor = net.floors[k]
@@ -302,55 +304,79 @@ def _widths(net: MLP) -> tuple:
 
 
 class _Lockstep:
-    """Fits that share h and alpha architectures, loss kind and row count,
-    trained in lockstep: the same batch schedule and step count for all,
-    while each keeps its own shuffles, early stopping and errors.
+    """Fits that share h's layer widths and row count, trained in lockstep:
+    the same batch schedule and step count for all, while each keeps its
+    own loss, shuffles, early stopping and errors.
 
-    The group owns F rows of M networks: row 0 holds the fits' h, row 1
-    their alpha when the loss needs it. The parameters are one (F, M, P)
-    buffer; `weights` and `biases` are per-layer views of it with leading
-    (F, M) axes (biases as (F, M, 1, out), to broadcast over a batch),
-    rebuilt only when fits leave. A layer whose rows differ in activation
-    gets a per-row floor (see `_floor`). The Adam moments `m` and `v`, the
-    gradient buffer and the best-epoch snapshot `best` share that layout,
-    so Adam stays six vector operations over the whole buffer.
+    The group orders its fits alpha kinds first, then by kind, and stacks
+    networks, not fits, on one axis: the M fits' h first, then the alpha of
+    the K fits whose loss needs one, so the fit in place j < K owns networks
+    j and M + j. `run` returns the results in input order. The parameters
+    are one (N, P) buffer, N = M + K; `weights` and `biases` are per-layer
+    views of it with a leading network axis (biases as (N, 1, out), to
+    broadcast over a batch), rebuilt only when fits leave. A layer whose
+    networks differ in activation gets a per-network floor (see `_floor`).
+    The Adam moments `m` and `v`, the gradient buffer and the best-epoch
+    snapshot `best` share that layout, so Adam stays six vector operations
+    over the whole buffer. Each run of fits of one loss kind is a segment
+    (start, stop, LossColumns), so every fit evaluates its own formula.
     """
 
     def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
         self.table, self.fits, self.cfg = table, fits, cfg
+        # the input indices of the active fits, in buffer order
+        self.active = np.array(sorted(range(len(fits)),
+                                      key=lambda i: (fits[i].alpha is None, fits[i].loss.kind)))
         n = len(fits[0].rows)
         self.n_val, self.n_train = split_sizes(n, cfg.validation_fraction)
         self.rngs = [np.random.default_rng(fit.seed) for fit in fits]
-        orders = np.array([rng.permutation(n) for rng in self.rngs])
-        rows = np.take_along_axis(np.array([fit.rows for fit in fits]), orders, axis=1)
-        targets = np.take_along_axis(np.array([fit.targets for fit in fits], dtype=float),
+        orders = np.array([self.rngs[i].permutation(n) for i in self.active])
+        ordered = [fits[i] for i in self.active]
+        rows = np.take_along_axis(np.array([fit.rows for fit in ordered]), orders, axis=1)
+        targets = np.take_along_axis(np.array([fit.targets for fit in ordered], dtype=float),
                                      orders, axis=1)
         self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
         self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
-        nets = [[fit.h for fit in fits], [fit.alpha for fit in fits]]
-        nets = nets if fits[0].alpha is not None else nets[:1]
         self.layers = fits[0].h.layers
-        self.floors = tuple(_floor([spec.activation for spec in specs])
-                            for specs in zip(*(row[0].layers for row in nets)))
-        self.params = np.array([[net.params for net in row] for row in nets])
+        self.params = np.array([net.params for net in self._active_networks()])
         self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
         self.best = self.params.copy()
-        self._views()
-        self.loss = LossColumns.of([fit.loss for fit in fits])
+        self._refresh()
         self.steps = 0
         self.best_val = np.full(len(fits), np.inf)
         self.flat_epochs = np.zeros(len(fits), dtype=int)
-        self.active = np.arange(len(fits))
         self.traces = [([], []) for _ in fits]
         self.results: list = [None] * len(fits)
 
-    def _views(self) -> None:
-        """Per-layer views of the parameters and of a new gradient buffer."""
+    def _active_networks(self) -> list[MLP]:
+        """The active fits' networks in buffer order: every h, then every alpha."""
+        fits = [self.fits[i] for i in self.active]
+        return [fit.h for fit in fits] + [fit.alpha for fit in fits if fit.alpha is not None]
+
+    def _refresh(self) -> None:
+        """Recompute what follows from the active fits: the number K with
+        alpha, each layer's floor, the loss segments, and per-layer views of
+        the parameters and of a new gradient buffer."""
+        nets = self._active_networks()
+        self.n_alpha = len(nets) - self.active.size
+        self.floors = tuple(_floor([spec.activation for spec in specs])
+                            for specs in zip(*(net.layers for net in nets)))
+        self.segments, start = [], 0
+        losses = [self.fits[i].loss for i in self.active]
+        for _, run in itertools.groupby(losses, key=lambda loss: loss.kind):
+            run = list(run)
+            self.segments.append((start, start + len(run), LossColumns.of(run)))
+            start += len(run)
         views = _layer_views(self.params, self.layers)
         self.weights = tuple(w for w, _ in views)
-        self.biases = tuple(b[:, :, None, :] for _, b in views)
+        self.biases = tuple(b[:, None, :] for _, b in views)
         self.grad = np.empty_like(self.params)
         self.grads = _layer_views(self.grad, self.layers)
+
+    def _networks(self, per_fit: np.ndarray) -> np.ndarray:
+        """A per-fit array (M, ...) spread to the networks (N, ...): each
+        fit's entry for its h, then again for its alpha."""
+        return np.concatenate((per_fit, per_fit[:self.n_alpha]))
 
     def _leave(self, leaving: np.ndarray, outcome) -> None:
         """Record `outcome(j)` for every stacked fit j in `leaving` and drop them."""
@@ -359,33 +385,48 @@ class _Lockstep:
         for j in np.flatnonzero(leaving):
             self.results[self.active[j]] = outcome(j)
         keep = ~leaving
+        kept = self._networks(keep)
         self.active = self.active[keep]
-        self.loss = self.loss.take(keep)
         for name in ("params", "m", "v", "best"):
-            setattr(self, name, getattr(self, name)[:, keep])
+            setattr(self, name, getattr(self, name)[kept])
         for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
             setattr(self, name, getattr(self, name)[keep])
-        self._views()
+        self._refresh()
 
     def _finished(self, j: int, stopped_early: bool):
         """The result of stacked fit j: its networks at their best epoch."""
         fit = self.fits[self.active[j]]
         h = fit.h.copy()
-        alpha = fit.alpha.copy() if fit.alpha is not None else None
-        for net, best in zip((h, alpha), self.best):
-            net.params[:] = best[j]
+        h.params[:] = self.best[j]
+        alpha = None
+        if fit.alpha is not None:
+            alpha = fit.alpha.copy()
+            alpha.params[:] = self.best[self.active.size + j]
         train_trace, val_trace = self.traces[self.active[j]]
         report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
                              val_loss_trace=val_trace, stopped_early=stopped_early)
         return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
 
     def _pass(self, rows: np.ndarray, y: np.ndarray):
-        """Forward pass of every active fit over its feature-table rows (M, B),
-        then its loss terms against y (M, B): inputs, pre-activations and
-        (loss, dLoss/dz, dLoss/da), dLoss/da None without alpha."""
+        """Forward pass of every active network over its feature-table rows
+        (N, B), then each fit's loss terms against y (M, B): inputs,
+        pre-activations, the loss (M, B) and its gradient with respect to the
+        network outputs (N, B), dLoss/dz for every h and then dLoss/da for
+        every alpha."""
         out, inputs, preacts = _forward_cached(self, self.table[rows])
-        a = out[1, ..., 0] if len(out) > 1 else None
-        return inputs, preacts, loss_terms(self.loss, out[0, ..., 0], a, y)
+        m, k = self.active.size, self.n_alpha
+        z, a = out[:m, :, 0], out[m:, :, 0]
+        # one segment, as in every `train` call: the slices and copies below
+        # would cost `drureg train` about 3% of its time
+        if len(self.segments) == 1:
+            value, dz, da = loss_terms(self.segments[0][2], z, a if k else None, y)
+            return inputs, preacts, value, dz if da is None else np.concatenate((dz, da))
+        parts = [loss_terms(loss, z[start:stop], a[start:stop] if start < k else None,
+                            y[start:stop]) for start, stop, loss in self.segments]
+        value = np.concatenate([value for value, _, _ in parts])
+        dout = np.concatenate([dz for _, dz, _ in parts]
+                              + [da for _, _, da in parts if da is not None])
+        return inputs, preacts, value, dout
 
     def _epoch(self) -> np.ndarray:
         """One pass over every active fit's training rows, one Adam step
@@ -394,15 +435,14 @@ class _Lockstep:
         cfg, bs = self.cfg, self.cfg.batch_size
         b1, b2, m, v, grad = cfg.adam_beta1, cfg.adam_beta2, self.m, self.v, self.grad
         perms = np.array([self.rngs[i].permutation(self.n_train) for i in self.active])
-        rows = np.take_along_axis(self.train_rows, perms, axis=1)
+        rows = self._networks(np.take_along_axis(self.train_rows, perms, axis=1))
         targets = np.take_along_axis(self.train_y, perms, axis=1)
         epoch_loss = np.zeros(self.active.size)
         for start in range(0, self.n_train, bs):
             batch = rows[:, start:start + bs]
-            inputs, preacts, (value, dz, da) = self._pass(batch, targets[:, start:start + bs])
+            inputs, preacts, value, dout = self._pass(batch, targets[:, start:start + bs])
             epoch_loss += np.add.reduce(value, axis=1)
-            dout = np.array((dz,) if da is None else (dz, da)) * (1.0 / batch.shape[1])
-            _backprop(self, inputs, preacts, dout, self.grads)
+            _backprop(self, inputs, preacts, dout * (1.0 / batch.shape[1]), self.grads)
             self.steps += 1
             corr1 = 1.0 - b1 ** self.steps
             corr2 = 1.0 - b2 ** self.steps
@@ -416,10 +456,12 @@ class _Lockstep:
     def _validation_loss(self) -> np.ndarray:
         """Mean validation loss per active fit; fits whose validation pass
         has a non-finite activation leave with a NumericError."""
-        _, preacts, (value, _, _) = self._pass(self.val_rows, self.val_y)
-        finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (K, F, M)
-        first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))  # (F, M)
-        bad = np.where(first[0] >= 0, first[0], first[-1])  # h's layer before alpha's
+        _, preacts, value, _ = self._pass(self._networks(self.val_rows), self.val_y)
+        finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (layers, N)
+        first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))  # per network
+        m, k = self.active.size, self.n_alpha
+        bad = first[:m]
+        bad[:k] = np.where(bad[:k] >= 0, bad[:k], first[m:])  # h's layer before alpha's
         failed = bad >= 0
         self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
         return value.mean(axis=1)[~failed]
@@ -435,11 +477,14 @@ class _Lockstep:
                 f"non-finite training loss in epoch {epoch}"))
             for i, loss in zip(self.active, epoch_loss[finite]):
                 self.traces[i][0].append(float(loss / self.n_train))
+            if not self.active.size:
+                break
             current = self._validation_loss()
             for i, value in zip(self.active, current):
                 self.traces[i][1].append(float(value))
             improved = current < self.best_val
-            self.best[:, improved] = self.params[:, improved]
+            nets = self._networks(improved)
+            self.best[nets] = self.params[nets]
             self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
                                         0, self.flat_epochs + 1)
             self.best_val = np.where(improved, current, self.best_val)
@@ -452,10 +497,11 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
     """Train many (h, alpha) pairs in lockstep on rows of one feature table.
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
-    fits that share h and alpha architectures, loss kind and row count
-    train together, with leading (network, model) axes on parameters,
-    activations, gradients and Adam moments, so each mini-batch step is one
-    batched call per layer for the whole group. alpha must have h's layer
+    fits whose h has the same layer widths and that have the same row count
+    train as one `_Lockstep` group, whatever their loss kinds, with a leading
+    network axis on parameters, activations, gradients and Adam moments, so
+    each mini-batch step is one batched call per layer for the whole group.
+    Each fit evaluates its own loss formula. alpha must have h's layer
     widths. Every fit keeps its own random stream, early stopping and
     best-epoch snapshot, and leaves the group when it stops.
 
@@ -471,6 +517,11 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         if n < 2:
             raise ConfigError(f"training needs at least 2 rows, one of them to validate on; "
                               f"got {n}")
+        rows = np.asarray(fit.rows)
+        if (not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0
+                or rows.max() >= len(table)):
+            raise ShapeError(f"fit rows must be integer indices into the table's "
+                             f"{len(table)} rows")
         if fit.loss.needs_alpha and fit.alpha is None:
             raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
         if not fit.loss.needs_alpha and fit.alpha is not None:
@@ -484,9 +535,7 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         n_train = split_sizes(n, cfg.validation_fraction)[1]
         if cfg.batch_size > n_train:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
-        key = (fit.h.layers, None if fit.alpha is None else fit.alpha.layers,
-               fit.loss.kind, n)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((_widths(fit.h), n), []).append(i)
     results: list = [None] * len(fits)
     for members in groups.values():
         # a diverging fit overflows; it leaves its group with a NumericError

@@ -251,7 +251,8 @@ class TestConfigBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
-        ("[1, 2]", "config document must be a JSON object"),
+        ("[1, 2]", "config file CFG must hold a JSON object, got list"),
+        ('{"resolved_config": "x"}', "config file CFG must hold a JSON object, got str"),
         ('{"sede": 1}', "'sede'"),
         ('{"train": 5}', "config section 'train'"),
         ('{"train": {"max_epochs": "5"}}', "train.max_epochs"),
@@ -261,16 +262,18 @@ class TestConfigBounds:
         ('{"covariate_subsets": [[]]}', "'covariate_subsets'"),
         ("{", None),  # not JSON: the message names the file
         (None, None),  # no such file
-    ], ids=["not_an_object", "unknown_top_level_key", "section_not_an_object",
-            "scalar_of_wrong_type", "malformed_covariates", "non_numeric_base_shares",
-            "empty_methods", "malformed_subsets", "invalid_json", "unreadable_file"])
+    ], ids=["not_an_object", "manifest_config_not_an_object", "unknown_top_level_key",
+            "section_not_an_object", "scalar_of_wrong_type", "malformed_covariates",
+            "non_numeric_base_shares", "empty_methods", "malformed_subsets", "invalid_json",
+            "unreadable_file"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "config.json"
         if text is not None:
             cfg.write_text(text)
         out = tmp_path / "out"
         assert run("generate", "--config", cfg, "--out", out) == 2
-        assert (message or str(cfg)) in capsys.readouterr().err
+        # CFG stands for the config file's path
+        assert (message or "CFG").replace("CFG", str(cfg)) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [

@@ -1,10 +1,20 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import analytic_param_grads, fd_param_grads, max_rel_error, sample_smooth_instance
+from drureg import nn
+from drureg.config import (
+    bias_spec_from_config,
+    population_spec_from_config,
+    sweep_config_from_config,
+    train_config_from_config,
+    validate_config,
+)
 from drureg.errors import ConfigError, NumericError, ShapeError
+from drureg.harness import run_sweep
 from drureg.losses import LossSpec, MetaInfo, loss_gradients, loss_value
 from drureg.nn import (
     MLP,
@@ -389,10 +399,14 @@ class TestTrainStack:
         for fit, outcome in zip(fits, outcomes):
             self.assert_same(outcome, self.solo(fit, cfg))
 
-    def test_diverging_fit_fails_alone(self, rng):
-        loss = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
-        fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
-        fits[1] = self.make_fit(rng, loss, 4, scale=1e200)
+    @pytest.mark.parametrize("kinds", [("dru", "dru", "dru"), ("dru", "squared", "dru", "squared")],
+                             ids=["dru", "squared_among_dru"])
+    def test_diverging_fit_fails_alone(self, rng, kinds):
+        # fit 1 diverges; squared and dRU fits of one width train in one group
+        losses = {"dru": LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)),
+                  "squared": LossSpec("squared")}
+        fits = [self.make_fit(rng, losses[kind], 4) for kind in kinds]
+        fits[1] = self.make_fit(rng, losses[kinds[1]], 4, scale=1e200)
         cfg = TrainConfig(max_epochs=6, patience=6)
         with np.errstate(all="ignore"):
             outcomes = train_stack(self.table, fits, cfg)
@@ -400,32 +414,93 @@ class TestTrainStack:
                 self.solo(fits[1], cfg)
         assert isinstance(outcomes[1], NumericError)
         assert str(outcomes[1]) == str(solo_error.value)
-        for k in (0, 2):
-            self.assert_same(outcomes[k], self.solo(fits[k], cfg))
+        for k in range(len(fits)):
+            if k != 1:
+                self.assert_same(outcomes[k], self.solo(fits[k], cfg))
+
+    def validated_on(self, fit, row, cfg):
+        """`fit` with every validation row replaced by table row `row`."""
+        n_val, _ = split_sizes(len(fit.rows), cfg.validation_fraction)
+        val_positions = np.random.default_rng(fit.seed).permutation(len(fit.rows))[:n_val]
+        rows = fit.rows.copy()
+        rows[val_positions] = row
+        return replace(fit, rows=rows)
 
     @pytest.mark.parametrize("loss", [
         LossSpec("squared"), LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)),
     ], ids=["squared", "dru"])
     def test_non_finite_validation_row_fails_alone(self, rng, loss):
         # an infinite feature row that only the validation split reads; the
-        # dRU fits train h and alpha as the two rows of one stack
+        # dRU fits train h and alpha as networks of one stack
         table = np.vstack([self.table, np.full(7, np.inf)])
         fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
-        bad = fits[1]
         cfg = TrainConfig(max_epochs=4, patience=4)
-        n_val, _ = split_sizes(137, cfg.validation_fraction)
-        val_positions = np.random.default_rng(bad.seed).permutation(137)[:n_val]
-        rows = bad.rows.copy()
-        rows[val_positions] = len(self.table)
-        fits[1] = replace(bad, rows=rows)
+        fits[1] = bad = self.validated_on(fits[1], len(self.table), cfg)
         with np.errstate(all="ignore"):
             outcomes = train_stack(table, fits, cfg)
         assert isinstance(outcomes[1], NumericError)
         assert str(outcomes[1]) == "non-finite activation in layer 0"
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 0"):
-            train(bad.h, bad.alpha, table[rows], bad.targets, loss, cfg, seed=bad.seed)
+            train(bad.h, bad.alpha, table[bad.rows], bad.targets, loss, cfg, seed=bad.seed)
         for k in (0, 2):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
+
+    def test_non_finite_validation_names_h_layer_before_alpha_layer(self, rng):
+        # a dRU fit among squared fits validates on a row of 1e300s: its
+        # alpha overflows in layer 0, its h (positive first weights, then
+        # 1e10) only in layer 1, and the error names h's layer
+        table = np.vstack([self.table, np.full(7, 1e300)])
+        dru = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        losses = [LossSpec("squared"), dru, dru, LossSpec("squared")]
+        fits = [self.make_fit(rng, loss, 4) for loss in losses]
+        cfg = TrainConfig(max_epochs=4, patience=4)
+        bad = self.validated_on(fits[1], len(self.table), cfg)
+        bad.h.weights[0][:] = np.abs(bad.h.weights[0])
+        bad.h.weights[1][:] = 1e10
+        bad.alpha.weights[0][:] = 1e10
+        fits[1] = bad
+        with np.errstate(all="ignore"):
+            outcomes = train_stack(table, fits, cfg)
+            with pytest.raises(NumericError) as solo_error:
+                train(bad.h, bad.alpha, table[bad.rows], bad.targets, dru, cfg, seed=bad.seed)
+        assert str(outcomes[1]) == str(solo_error.value) == "non-finite activation in layer 1"
+        for k in (0, 2, 3):
+            self.assert_same(outcomes[k], self.solo(fits[k], cfg))
+
+    @pytest.mark.parametrize("rows", [np.full(40, -1), np.full(40, 7), np.full(40, 1.0)],
+                             ids=["negative", "past_the_end", "float"])
+    def test_rows_outside_the_table_rejected_before_training(self, monkeypatch, rows):
+        def no_training(*args):
+            raise AssertionError("a group was trained")
+
+        monkeypatch.setattr(nn, "_Lockstep", no_training)
+        h = init_mlp(mlp_architecture(7, 4), seed=0)
+        good, bad = (Fit(h, None, r, np.zeros(40), LossSpec("squared"), seed=0)
+                     for r in (np.zeros(40, dtype=int), rows))
+        with pytest.raises(ShapeError, match="integer indices into the table's 3 rows"):
+            train_stack(self.table[:3], [good, bad], TrainConfig(max_epochs=1))
+
+    def test_desk_subset_trains_as_two_groups(self, monkeypatch):
+        # the default methods plan 20 dRU and 5 squared fits of width 4 and
+        # 5 pinball fits of width 8 per covariate subset: one group per width
+        groups = []
+
+        class Counting(nn._Lockstep):
+            def __init__(self, table, fits, cfg):
+                groups.append(sorted(Counter((fit.loss.kind, fit.h.layers[0].output_width)
+                                             for fit in fits).items()))
+                super().__init__(table, fits, cfg)
+
+        monkeypatch.setattr(nn, "_Lockstep", Counting)
+        resolved = validate_config({
+            "population": {"n_population": 5000}, "bias": {"n_sample": 300},
+            "sweep": {"prev_sample_size": 2000}, "train": {"max_epochs": 1}})
+        result = run_sweep([population_spec_from_config(resolved, 7)],
+                           [bias_spec_from_config(resolved, 8)], resolved["covariate_subsets"][:1],
+                           resolved["methods"], train_config_from_config(resolved),
+                           sweep_config_from_config(resolved), base_seed=1)
+        assert not result.failures and len(result.records) == 7 * 5
+        assert sorted(groups) == [[(("dru", 4), 20), (("squared", 4), 5)], [(("pinball", 8), 5)]]
 
 
 class TestSerialization:
