@@ -212,10 +212,15 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
     failures: list[RunFailure] = []
     coverage: list[dict] = []
     targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
+    # Pass 1: plan every network of the replicate in subset -> method ->
+    # target order, each (subset, method)'s fits starting at
+    # first_fit[subset_idx, method_idx]; they all train in one lockstep call.
+    fits: list[Fit] = []
+    first_fit: dict[tuple[int, int], int] = {}
+    plans = []
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
         cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
-        design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
         cells = [sample.cell_index(subset) for sample in samples]
         populated = table.fractions > 0
         unseen = max(
@@ -227,16 +232,12 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
             "cells": int(np.count_nonzero(populated)),
             "max_unseen_in_training": int(unseen),
         })
-        # Pass 1: plan every network of the subset in method -> target order,
-        # each method's fits starting at first_fit[method_idx]; they all
-        # train in one lockstep call.
-        fits: list[Fit] = []
-        first_fit: dict[int, int] = {}
+        plans.append((subset_idx, subset, table, cell_features, cells))
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
             if method.loss is None or (method.needs_meta and isinstance(informed, Exception)):
                 continue
-            first_fit[method_idx] = len(fits)
+            first_fit[subset_idx, method_idx] = len(fits)
             metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
             width = sweep_cfg.hidden_width * method.width_factor
             for t in range(n_targets):
@@ -244,10 +245,13 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                 loss = method.loss(metas[t])
                 h, alpha = init_networks(cell_features.shape[1], width, loss,
                                          _derive_seed(seed, 0), _derive_seed(seed, 1))
-                fits.append(Fit(h, alpha, cells[t], targets[t], loss, _derive_seed(seed, 2)))
-        outcomes = train_stack(cell_features, fits, cfg) if fits else []
-        # Pass 2: score each method; it fails as a whole at its first
-        # failing target.
+                fits.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
+                                _derive_seed(seed, 2)))
+    outcomes = train_stack(fits, cfg)
+    # Pass 2: score each (subset, method); it fails as a whole at its first
+    # failing target.
+    for subset_idx, subset, table, cell_features, cells in plans:
+        design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
             try:
@@ -258,7 +262,7 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
                     if method.loss is None:
                         estimates = _fit_regression(design, cells[t], targets[t])
                     else:
-                        outcome = outcomes[first_fit[method_idx] + t]
+                        outcome = outcomes[first_fit[subset_idx, method_idx] + t]
                         if isinstance(outcome, Exception):
                             raise outcome
                         estimates = outcome[0].predict(cell_features)

@@ -3,8 +3,8 @@
 Two small networks are trained jointly: a predictor producing z = h(x) and an
 optional auxiliary network producing the non-negative threshold a = alpha(x)
 that the robust losses need. `train_stack` trains many such pairs in lockstep,
-with every fit's h and alpha batched along one leading network axis;
-`train` is its one-fit case.
+each on its own feature table, batching networks of one layer shape into one
+call per layer; `train` is its one-fit case.
 Everything is plain numpy and deterministic given seeds.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -50,15 +50,12 @@ def _floor(activations):
 
 def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W_k, b_k) views of a flat vector laid out as W_0 (row-major,
-    shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients.
-    Leading axes, as in an (N, P) buffer of stacked networks, are kept."""
+    shape (in, out)), b_0, W_1, b_1, ...; used for parameters and gradients."""
     views, end = [], 0
-    lead = flat.shape[:-1]
     for spec in layers:
         start, mid = end, end + spec.input_width * spec.output_width
         end = mid + spec.output_width
-        views.append((flat[..., start:mid].reshape(*lead, spec.input_width, spec.output_width),
-                      flat[..., mid:end]))
+        views.append((flat[start:mid].reshape(spec.input_width, spec.output_width), flat[mid:end]))
     return views
 
 
@@ -155,17 +152,20 @@ def init_networks(n_inputs: int, width: int, loss: LossSpec, h_seed: int,
     return h, init_mlp(mlp_architecture(n_inputs, width, output_activation="relu"), alpha_seed)
 
 
-def _forward_cached(net, X: np.ndarray):
-    """Forward pass over a batch, keeping per-layer inputs and pre-activations.
-
-    `net` is an MLP with X of shape (n, in), or a _Lockstep group with X of
-    shape (N, n, in), one batch per network."""
-    a = X
-    inputs, preacts = [], []
-    for w, b, floor in zip(net.weights, net.biases, net.floors):
-        inputs.append(a)
-        z = a @ w + b
-        preacts.append(z)
+def _forward_cached(net, X, z=None, training: bool = True):
+    """Forward pass over a batch: the outputs, each layer's inputs and
+    pre-activations. `net` is an MLP with X (n, in), or a `_Family` with X
+    its layer-0 inputs, one per run, and z their products with W_0. Not
+    `training`, it keeps no inputs, and only if pre-activations are finite."""
+    z = X @ net.weights[0] if z is None else z
+    inputs, preacts = [X], []
+    for k, (b, floor) in enumerate(zip(net.biases, net.floors)):
+        if k:
+            if training:
+                inputs.append(a)
+            z = a @ net.weights[k]
+        z += b
+        preacts.append(z if training else np.isfinite(z).all(axis=(-2, -1)))
         a = z if floor is None else np.maximum(z, floor)
     return a, inputs, preacts
 
@@ -177,26 +177,28 @@ def forward_batch(net: MLP, X: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected (n, {net.input_width}) features, got shape {X.shape}")
     if net.output_width != 1:
         raise ShapeError(f"expected a network with one output, got {net.output_width}")
-    out, _, preacts = _forward_cached(net, X)
-    for k, z in enumerate(preacts):
-        if not np.isfinite(z).all():
+    out, _, finite = _forward_cached(net, X, training=False)
+    for k, ok in enumerate(finite):
+        if not ok:
             raise NumericError(f"non-finite activation in layer {k}")
     return out[:, 0]
 
 
-def _backprop(net, inputs, preacts, dloss_dout: np.ndarray, grads) -> None:
-    """Write the gradients of sum_i dloss_dout[..., i] * net(x_i) into `grads`,
-    the per-layer (dW, db) views of one flat gradient buffer (with a leading
-    network axis for a _Lockstep group)."""
-    delta = dloss_dout[..., None]
-    for k in range(len(net.layers) - 1, -1, -1):
-        floor = net.floors[k]
-        if floor is not None:
-            delta = delta * (preacts[k] > floor)
+def _backprop(net, inputs, preacts, delta: np.ndarray, grads) -> None:
+    """Write the gradients of sum(delta * outputs) into `grads`, the
+    per-layer (dW, db) views of one flat gradient buffer; `delta` has the
+    outputs' shape. A `_Family` has layer 0's inputs and dW one per run."""
+    for k in range(len(preacts) - 1, -1, -1):
+        if net.floors[k] is not None:
+            delta = delta * (preacts[k] > net.floors[k])
         dw, db = grads[k]
-        np.matmul(inputs[k].swapaxes(-1, -2), delta, out=dw)
         np.add.reduce(delta, axis=-2, out=db)
-        if k > 0:
+        if k or isinstance(dw, np.ndarray):
+            np.matmul(inputs[k].swapaxes(-1, -2), delta, out=dw)
+        else:
+            for (start, stop, _, _), x, dw_run in zip(net.runs, inputs[0], dw):
+                np.matmul(x.swapaxes(-1, -2), delta[start:stop], out=dw_run)
+        if k:
             delta = delta @ net.weights[k].swapaxes(-1, -2)
 
 
@@ -213,7 +215,7 @@ def backward(net: MLP, X: np.ndarray, dloss_dout: np.ndarray):
         raise NumericError("non-finite loss gradient")
     _, inputs, preacts = _forward_cached(net, X)
     grads = _layer_views(np.empty_like(net.params), net.layers)
-    _backprop(net, inputs, preacts, dloss_dout, grads)
+    _backprop(net, inputs, preacts, dloss_dout[..., None], grads)
     return grads
 
 
@@ -288,11 +290,12 @@ def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class Fit:
     """One network pair for `train_stack`: h, and alpha when the loss needs
-    it, trained on the feature-table rows `rows` (n,) with targets (n,),
-    split and shuffled by the stream of `seed`."""
+    it, trained on the rows `rows` (n,) of its own feature `table` with
+    targets (n,), split and shuffled by the stream of `seed`."""
 
     h: MLP
     alpha: MLP | None
+    table: np.ndarray
     rows: np.ndarray
     targets: np.ndarray
     loss: LossSpec
@@ -303,80 +306,115 @@ def _widths(net: MLP) -> tuple:
     return tuple((spec.input_width, spec.output_width) for spec in net.layers)
 
 
+class _Family:
+    """The networks of a `_Lockstep` group whose layers after the first
+    share their widths, so that each such layer is one batched call, with ids
+    from `first` on: the h of each fit in `members` (group positions), then
+    the alpha of the `alphas` among them. `runs` holds (start, stop, table,
+    reads) per run of consecutive networks that read one table, `reads`
+    their fits' rows: a slice (one fit's rows broadcast over its networks)
+    or an index array. Each run of fits of one loss kind is a segment
+    (fits, LossColumns, h slice, alpha slice or None); `pieces` orders the
+    segments' dLoss/dz, then their dLoss/da, as the networks."""
+
+    def __init__(self, first: int, fits: list[Fit], members: list[int]) -> None:
+        self.members = members
+        self.alphas = [j for j in members if fits[j].alpha is not None]
+        self.fit_of, m = members + self.alphas, len(members)
+        self.nets = [fits[j].h for j in members] + [fits[j].alpha for j in self.alphas]
+        self.n, self.layers = len(self.nets), self.nets[0].layers
+        self.ids = first + np.arange(self.n)
+        self.floors = tuple(_floor([spec.activation for spec in specs])
+                            for specs in zip(*(net.layers for net in self.nets)))
+        self.runs, self.segments, self.weights, self.biases, self.grads = [], [], [], [], []
+        start = 0
+        for _, at in itertools.groupby(self.fit_of, key=lambda j: id(fits[j].table)):
+            at = list(at)
+            one_slice = at in ([at[0]] * len(at), list(range(at[0], at[-1] + 1)))
+            reads = slice(at[0], at[-1] + 1) if one_slice else np.array(at)
+            self.runs.append((start, start + len(at), fits[at[0]].table, reads))
+            start += len(at)
+        for _, run in itertools.groupby(members, key=lambda j: fits[j].loss.kind):
+            run = list(run)
+            h = slice(run[0] - members[0], run[-1] + 1 - members[0])
+            alpha = slice(m + h.start, m + h.stop) if run[0] in self.alphas else None
+            loss = LossColumns.of([fits[j].loss for j in run])
+            self.segments.append((slice(run[0], run[-1] + 1), loss, h, alpha))
+        self.pieces = [(s, 1) for s in range(len(self.segments))]
+        self.pieces += [(s, 2) for s, segment in enumerate(self.segments) if segment[3] is not None]
+
+
 class _Lockstep:
-    """Fits that share h's layer widths and row count, trained in lockstep:
-    the same batch schedule and step count for all, while each keeps its
-    own loss, shuffles, early stopping and errors.
+    """Fits of one row count, trained in lockstep: one batch schedule for
+    all, while each keeps its own table, loss, shuffles, early stopping and
+    errors. Networks, not fits, are stacked, in families (see `_Family`),
+    the fits ordered by family, then alpha kinds first, by loss kind and by
+    table. The parameters, the gradient, the Adam moments `m` and `v` and
+    the best-epoch snapshot `best` are each one flat buffer, laid out layer
+    by layer and, within a layer, family by family, weights before biases;
+    a network's entries, read in order, are its `MLP.params`, and `owner`
+    holds the network of every entry. `run` returns results in input order."""
 
-    The group orders its fits alpha kinds first, then by kind, and stacks
-    networks, not fits, on one axis: the M fits' h first, then the alpha of
-    the K fits whose loss needs one, so the fit in place j < K owns networks
-    j and M + j. `run` returns the results in input order. The parameters
-    are one (N, P) buffer, N = M + K; `weights` and `biases` are per-layer
-    views of it with a leading network axis (biases as (N, 1, out), to
-    broadcast over a batch), rebuilt only when fits leave. A layer whose
-    networks differ in activation gets a per-network floor (see `_floor`).
-    The Adam moments `m` and `v`, the gradient buffer and the best-epoch
-    snapshot `best` share that layout, so Adam stays six vector operations
-    over the whole buffer. Each run of fits of one loss kind is a segment
-    (start, stop, LossColumns), so every fit evaluates its own formula.
-    """
-
-    def __init__(self, table: np.ndarray, fits: list[Fit], cfg: TrainConfig) -> None:
-        self.table, self.fits, self.cfg = table, fits, cfg
+    def __init__(self, fits: list[Fit], cfg: TrainConfig) -> None:
+        self.fits, self.cfg = fits, cfg
+        slots: dict = {}  # each table's place in the order of first appearance
         # the input indices of the active fits, in buffer order
-        self.active = np.array(sorted(range(len(fits)),
-                                      key=lambda i: (fits[i].alpha is None, fits[i].loss.kind)))
+        self.active = np.array(sorted(range(len(fits)), key=lambda i: (
+            _widths(fits[i].h)[1:], fits[i].alpha is None, fits[i].loss.kind,
+            slots.setdefault(id(fits[i].table), len(slots)))))
         n = len(fits[0].rows)
         self.n_val, self.n_train = split_sizes(n, cfg.validation_fraction)
         self.rngs = [np.random.default_rng(fit.seed) for fit in fits]
-        orders = np.array([self.rngs[i].permutation(n) for i in self.active])
-        ordered = [fits[i] for i in self.active]
-        rows = np.take_along_axis(np.array([fit.rows for fit in ordered]), orders, axis=1)
-        targets = np.take_along_axis(np.array([fit.targets for fit in ordered], dtype=float),
-                                     orders, axis=1)
-        self.val_rows, self.train_rows = rows[:, :self.n_val], rows[:, self.n_val:]
-        self.val_y, self.train_y = targets[:, :self.n_val], targets[:, self.n_val:]
-        self.layers = fits[0].h.layers
-        self.params = np.array([net.params for net in self._active_networks()])
+        # each fit's shuffle of its rows: the first n_val validate, the rest train
+        self.order = np.empty((len(fits), n), dtype=int)
+        self.val_rows = np.empty((len(fits), self.n_val), dtype=int)
+        self.val_y = np.empty(self.val_rows.shape)
+        for j, i in enumerate(self.active):
+            self.order[j] = self.rngs[i].permutation(n)
+            at = self.order[j, :self.n_val]
+            self.val_rows[j], self.val_y[j] = fits[i].rows[at], fits[i].targets[at]
+        self.params = np.empty(sum(net.params.size for fit in fits
+                                   for net in (fit.h, fit.alpha) if net is not None))
+        self._refresh()
+        self.params[np.argsort(self.owner, kind="stable")] = np.concatenate(
+            [net.params for fam in self.families for net in fam.nets])
         self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
         self.best = self.params.copy()
-        self._refresh()
         self.steps = 0
         self.best_val = np.full(len(fits), np.inf)
         self.flat_epochs = np.zeros(len(fits), dtype=int)
         self.traces = [([], []) for _ in fits]
         self.results: list = [None] * len(fits)
 
-    def _active_networks(self) -> list[MLP]:
-        """The active fits' networks in buffer order: every h, then every alpha."""
-        fits = [self.fits[i] for i in self.active]
-        return [fit.h for fit in fits] + [fit.alpha for fit in fits if fit.alpha is not None]
-
     def _refresh(self) -> None:
-        """Recompute what follows from the active fits: the number K with
-        alpha, each layer's floor, the loss segments, and per-layer views of
-        the parameters and of a new gradient buffer."""
-        nets = self._active_networks()
-        self.n_alpha = len(nets) - self.active.size
-        self.floors = tuple(_floor([spec.activation for spec in specs])
-                            for specs in zip(*(net.layers for net in nets)))
-        self.segments, start = [], 0
-        losses = [self.fits[i].loss for i in self.active]
-        for _, run in itertools.groupby(losses, key=lambda loss: loss.kind):
-            run = list(run)
-            self.segments.append((start, start + len(run), LossColumns.of(run)))
-            start += len(run)
-        views = _layer_views(self.params, self.layers)
-        self.weights = tuple(w for w, _ in views)
-        self.biases = tuple(b[:, None, :] for _, b in views)
+        """Lay out the active fits' networks: the families with their views of
+        the parameters and a new gradient, each network's fit `net_fit`, `owner`."""
+        fits = [self.fits[i] for i in self.active]
+        self.families = []
+        for _, members in itertools.groupby(range(len(fits)), lambda j: _widths(fits[j].h)[1:]):
+            self.families.append(_Family(sum(fam.n for fam in self.families), fits, list(members)))
+        self.net_fit = np.array([j for fam in self.families for j in fam.fit_of], dtype=int)
         self.grad = np.empty_like(self.params)
-        self.grads = _layer_views(self.grad, self.layers)
+        owner, end = [np.empty(0, dtype=int)], 0
 
-    def _networks(self, per_fit: np.ndarray) -> np.ndarray:
-        """A per-fit array (M, ...) spread to the networks (N, ...): each
-        fit's entry for its h, then again for its alpha."""
-        return np.concatenate((per_fit, per_fit[:self.n_alpha]))
+        def take(ids, size, out):  # views (len(ids), size / out, out) of the next entries
+            nonlocal end
+            owner.append(np.repeat(ids, size))
+            end += len(ids) * size
+            return [buf[end - len(ids) * size:end].reshape(len(ids), -1, out)
+                    for buf in (self.params, self.grad)]
+
+        for k in range(max((len(fam.layers) for fam in self.families), default=0)):
+            for fam in [fam for fam in self.families if k < len(fam.layers)]:
+                out = fam.layers[k].output_width
+                w, dw = (take(fam.ids, fam.layers[k].input_width * out, out) if k else zip(*(
+                    take(fam.ids[start:stop], table.shape[1] * out, out)
+                    for start, stop, table, _ in fam.runs)))
+                b, db = take(fam.ids, out, out)
+                fam.weights.append(w)
+                fam.biases.append(b)
+                fam.grads.append((dw, db[:, 0]))
+        self.owner = np.concatenate(owner)
 
     def _leave(self, leaving: np.ndarray, outcome) -> None:
         """Record `outcome(j)` for every stacked fit j in `leaving` and drop them."""
@@ -385,48 +423,40 @@ class _Lockstep:
         for j in np.flatnonzero(leaving):
             self.results[self.active[j]] = outcome(j)
         keep = ~leaving
-        kept = self._networks(keep)
+        kept = keep[self.net_fit][self.owner]
         self.active = self.active[keep]
         for name in ("params", "m", "v", "best"):
             setattr(self, name, getattr(self, name)[kept])
-        for name in ("val_rows", "train_rows", "val_y", "train_y", "best_val", "flat_epochs"):
+        for name in ("order", "val_rows", "val_y", "best_val", "flat_epochs"):
             setattr(self, name, getattr(self, name)[keep])
         self._refresh()
 
     def _finished(self, j: int, stopped_early: bool):
         """The result of stacked fit j: its networks at their best epoch."""
         fit = self.fits[self.active[j]]
-        h = fit.h.copy()
-        h.params[:] = self.best[j]
-        alpha = None
-        if fit.alpha is not None:
-            alpha = fit.alpha.copy()
-            alpha.params[:] = self.best[self.active.size + j]
+        h, alpha = fit.h.copy(), None if fit.alpha is None else fit.alpha.copy()
+        for net, q in zip((h, alpha), np.flatnonzero(self.net_fit == j)):
+            net.params[:] = self.best[self.owner == q]
         train_trace, val_trace = self.traces[self.active[j]]
         report = TrainReport(epochs_run=len(train_trace), train_loss_trace=train_trace,
                              val_loss_trace=val_trace, stopped_early=stopped_early)
         return TrainedModel(h=h, alpha=alpha, loss=fit.loss), report
 
-    def _pass(self, rows: np.ndarray, y: np.ndarray):
-        """Forward pass of every active network over its feature-table rows
-        (N, B), then each fit's loss terms against y (M, B): inputs,
-        pre-activations, the loss (M, B) and its gradient with respect to the
-        network outputs (N, B), dLoss/dz for every h and then dLoss/da for
-        every alpha."""
-        out, inputs, preacts = _forward_cached(self, self.table[rows])
-        m, k = self.active.size, self.n_alpha
-        z, a = out[:m, :, 0], out[m:, :, 0]
-        # one segment, as in every `train` call: the slices and copies below
-        # would cost `drureg train` about 3% of its time
-        if len(self.segments) == 1:
-            value, dz, da = loss_terms(self.segments[0][2], z, a if k else None, y)
-            return inputs, preacts, value, dz if da is None else np.concatenate((dz, da))
-        parts = [loss_terms(loss, z[start:stop], a[start:stop] if start < k else None,
-                            y[start:stop]) for start, stop, loss in self.segments]
-        value = np.concatenate([value for value, _, _ in parts])
-        dout = np.concatenate([dz for _, dz, _ in parts]
-                              + [da for _, _, da in parts if da is not None])
-        return inputs, preacts, value, dout
+    def _pass(self, fam: _Family, rows: np.ndarray, y: np.ndarray, training: bool = True):
+        """`_forward_cached` over the fits' table rows (M, B), then each
+        segment's loss terms against y (M, B): returns the layer inputs and
+        pre-activations, the loss terms, and dLoss/d(outputs) (n, B)."""
+        z, xs = np.empty((fam.n, rows.shape[1], fam.layers[0].output_width)), []
+        for (start, stop, table, reads), w in zip(fam.runs, fam.weights[0]):
+            x = table.take(rows[reads], axis=0)
+            np.matmul(x, w, out=z[start:stop])
+            if training:
+                xs.append(x)
+        out, inputs, preacts = _forward_cached(fam, xs, z, training)
+        parts = [loss_terms(loss, out[h, :, 0], None if alpha is None else out[alpha, :, 0],
+                            y[fits]) for fits, loss, h, alpha in fam.segments]
+        pieces = [parts[s][c] for s, c in fam.pieces]
+        return inputs, preacts, parts, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _epoch(self) -> np.ndarray:
         """One pass over every active fit's training rows, one Adam step
@@ -434,15 +464,20 @@ class _Lockstep:
         per fit."""
         cfg, bs = self.cfg, self.cfg.batch_size
         b1, b2, m, v, grad = cfg.adam_beta1, cfg.adam_beta2, self.m, self.v, self.grad
-        perms = np.array([self.rngs[i].permutation(self.n_train) for i in self.active])
-        rows = self._networks(np.take_along_axis(self.train_rows, perms, axis=1))
-        targets = np.take_along_axis(self.train_y, perms, axis=1)
+        rows = np.empty((self.active.size, self.n_train), dtype=int)
+        targets = np.empty(rows.shape)
+        for j, i in enumerate(self.active):
+            at = self.order[j, self.n_val:][self.rngs[i].permutation(self.n_train)]
+            rows[j], targets[j] = self.fits[i].rows[at], self.fits[i].targets[at]
         epoch_loss = np.zeros(self.active.size)
+        totals = [[epoch_loss[segment[0]] for segment in fam.segments] for fam in self.families]
         for start in range(0, self.n_train, bs):
-            batch = rows[:, start:start + bs]
-            inputs, preacts, value, dout = self._pass(batch, targets[:, start:start + bs])
-            epoch_loss += np.add.reduce(value, axis=1)
-            _backprop(self, inputs, preacts, dout * (1.0 / batch.shape[1]), self.grads)
+            batch, y = rows[:, start:start + bs], targets[:, start:start + bs]
+            for fam, sums in zip(self.families, totals):
+                inputs, preacts, parts, dout = self._pass(fam, batch, y)
+                for total, (value, _, _) in zip(sums, parts):
+                    total += np.add.reduce(value, axis=1)
+                _backprop(fam, inputs, preacts, dout[..., None] * (1.0 / batch.shape[1]), fam.grads)
             self.steps += 1
             corr1 = 1.0 - b1 ** self.steps
             corr2 = 1.0 - b2 ** self.steps
@@ -456,15 +491,19 @@ class _Lockstep:
     def _validation_loss(self) -> np.ndarray:
         """Mean validation loss per active fit; fits whose validation pass
         has a non-finite activation leave with a NumericError."""
-        _, preacts, value, _ = self._pass(self._networks(self.val_rows), self.val_y)
-        finite = np.array([np.isfinite(z).all(axis=(-2, -1)) for z in preacts])  # (layers, N)
-        first = np.where(finite.all(axis=0), -1, finite.argmin(axis=0))  # per network
-        m, k = self.active.size, self.n_alpha
-        bad = first[:m]
-        bad[:k] = np.where(bad[:k] >= 0, bad[:k], first[m:])  # h's layer before alpha's
+        current, bad = np.empty(self.active.size), np.empty(self.active.size, dtype=int)
+        for fam in self.families:
+            _, finite, parts, _ = self._pass(fam, self.val_rows, self.val_y, training=False)
+            for segment, (value, _, _) in zip(fam.segments, parts):
+                current[segment[0]] = value.mean(axis=1)
+            # per network, its first layer with a non-finite pre-activation, or -1
+            first = np.where(np.all(finite, axis=0), -1, np.argmin(finite, axis=0))
+            m, k = len(fam.members), len(fam.alphas)
+            bad[fam.members] = first[:m]
+            bad[fam.alphas] = np.where(first[:k] >= 0, first[:k], first[m:])  # h's layer first
         failed = bad >= 0
         self._leave(failed, lambda j: NumericError(f"non-finite activation in layer {bad[j]}"))
-        return value.mean(axis=1)[~failed]
+        return current[~failed]
 
     def run(self) -> list:
         cfg = self.cfg
@@ -483,8 +522,7 @@ class _Lockstep:
             for i, value in zip(self.active, current):
                 self.traces[i][1].append(float(value))
             improved = current < self.best_val
-            nets = self._networks(improved)
-            self.best[nets] = self.params[nets]
+            np.copyto(self.best, self.params, where=improved[self.net_fit][self.owner])
             self.flat_epochs = np.where(current < self.best_val - cfg.improvement_tolerance,
                                         0, self.flat_epochs + 1)
             self.best_val = np.where(improved, current, self.best_val)
@@ -493,24 +531,24 @@ class _Lockstep:
         return self.results
 
 
-def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
-    """Train many (h, alpha) pairs in lockstep on rows of one feature table.
+def train_stack(fits, cfg: TrainConfig) -> list:
+    """Train many (h, alpha) pairs in lockstep, each on rows of its own table.
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
-    fits whose h has the same layer widths and that have the same row count
-    train as one `_Lockstep` group, whatever their loss kinds, with a leading
-    network axis on parameters, activations, gradients and Adam moments, so
-    each mini-batch step is one batched call per layer for the whole group.
-    Each fit evaluates its own loss formula. alpha must have h's layer
-    widths. Every fit keeps its own random stream, early stopping and
+    fits with the same row count train as one `_Lockstep` group, whatever
+    their tables, widths and loss kinds. alpha must have h's layer widths.
+    Every fit keeps its own loss, random stream, early stopping and
     best-epoch snapshot, and leaves the group when it stops.
 
     Returns, per fit in order, (TrainedModel, TrainReport) or the
     NumericError that stopped it; the other fits carry on.
     """
-    table = np.asarray(table, dtype=float)
+    tables: dict = {}  # id of a fit's table -> that table as floats
     groups: dict = {}
     for i, fit in enumerate(fits):
+        table = tables.setdefault(id(fit.table), np.asarray(fit.table, dtype=float))
+        if table.ndim != 2:
+            raise ShapeError(f"feature tables must be 2-D, got shape {table.shape}")
         n = np.shape(fit.rows)[0] if np.ndim(fit.rows) == 1 else -1
         if n < 0 or np.shape(fit.targets) != (n,):
             raise ShapeError("fit rows and targets must be aligned 1-D arrays")
@@ -535,12 +573,13 @@ def train_stack(table: np.ndarray, fits, cfg: TrainConfig) -> list:
         n_train = split_sizes(n, cfg.validation_fraction)[1]
         if cfg.batch_size > n_train:
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
-        groups.setdefault((_widths(fit.h), n), []).append(i)
+        groups.setdefault(n, {})[i] = replace(fit, table=table, rows=rows, targets=np.asarray(
+            fit.targets, dtype=float))
     results: list = [None] * len(fits)
     for members in groups.values():
         # a diverging fit overflows; it leaves its group with a NumericError
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = _Lockstep(table, [fits[i] for i in members], cfg).run()
+            outcomes = _Lockstep(list(members.values()), cfg).run()
         for i, outcome in zip(members, outcomes):
             results[i] = outcome
     return results
@@ -562,8 +601,8 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray, 
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ShapeError("features must be (n, d) aligned with targets (n,)")
-    fit = Fit(h, alpha, np.arange(features.shape[0]), targets, loss, seed)
-    (outcome,) = train_stack(features, [fit], cfg)
+    fit = Fit(h, alpha, features, np.arange(features.shape[0]), targets, loss, seed)
+    (outcome,) = train_stack([fit], cfg)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

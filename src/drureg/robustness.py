@@ -94,13 +94,13 @@ def cvar(dist: DiscreteDistribution, level: float) -> float:
 
 
 def _greedy_fill(losses: np.ndarray, probs: np.ndarray, gamma: float,
-                 raisable: np.ndarray) -> WorstCase:
-    """Shared greedy: start all ratios at gamma**-1 and spend the unit-mass
-    budget raising raisable points toward gamma in descending loss order,
-    splitting one boundary point fractionally."""
+                 raisable: np.ndarray, budget: float) -> WorstCase:
+    """Shared greedy: start all ratios at gamma**-1 and spend `budget`, the
+    extra weight above that floor, raising raisable points toward gamma in
+    descending loss order, splitting one boundary point fractionally. A
+    worst case keeps unit mass with the budget 1 - gamma**-1."""
     g_inv = 1.0 / gamma
     ratios = np.full(losses.shape, g_inv)
-    budget = 1.0 - g_inv  # total extra weight available above the floor
     if budget > 0.0:
         room = np.where(raisable, (gamma - g_inv) * probs, 0.0)  # extra weight per point
         capacity = float(room.sum())
@@ -125,7 +125,7 @@ def worst_case_ru(losses: DiscreteDistribution, gamma: float) -> WorstCase:
     with total mass 1, by greedy fill from the highest loss down."""
     eta(gamma)
     raisable = np.ones(losses.values.shape, dtype=bool)
-    return _greedy_fill(losses.values, losses.probs, gamma, raisable)
+    return _greedy_fill(losses.values, losses.probs, gamma, raisable, 1.0 - 1.0 / gamma)
 
 
 def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
@@ -143,7 +143,8 @@ def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
         raise ParameterError("signs must be -1 or +1")
     if meta.direction not in (-1, 1):
         raise ParameterError("meta.direction must be -1 or +1")
-    return _greedy_fill(losses.values, losses.probs, meta.gamma, signs == meta.direction)
+    return _greedy_fill(losses.values, losses.probs, meta.gamma, signs == meta.direction,
+                        1.0 - 1.0 / meta.gamma)
 
 
 def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -> float:

@@ -146,7 +146,7 @@ class TestMethodMapping:
     def test_every_method_fits_its_loss_and_widths(self, monkeypatch):
         fits = []
 
-        def recording_train_stack(table, stack, cfg):
+        def recording_train_stack(stack, cfg):
             for fit in stack:
                 loss, alpha = fit.loss, fit.alpha
                 meta = None if loss.meta is None else (loss.meta.gamma, loss.meta.direction)

@@ -23,10 +23,10 @@ from drureg.nn import (
     TrainConfig,
     TrainReport,
     _forward_cached,
-    _layer_views,
     backward,
     forward_batch,
     init_mlp,
+    init_networks,
     mlp_architecture,
     one_hot_encode,
     split_sizes,
@@ -123,14 +123,30 @@ class TestFlatLayout:
         assert net.params[12 + 4 + 2 * 4 + 3] == -1.0
         assert net.params[-1] == -2.0
 
-    def test_stacked_views_keep_the_model_axis(self):
-        layers = mlp_architecture(3, 4)
-        stack = np.arange(3 * 41, dtype=float).reshape(3, 41)
-        views = _layer_views(stack, layers)
-        for m in range(3):
-            for (w, b), (w_m, b_m) in zip(views, _layer_views(stack[m], layers)):
-                assert np.array_equal(w[m], w_m) and np.array_equal(b[m], b_m)
-        assert all(np.shares_memory(w, stack) and np.shares_memory(b, stack) for w, b in views)
+    def test_group_buffer_is_layer_major_and_owner_reads_back_each_network(self):
+        # fits on tables of 7 and 8 columns at widths 4 and 8: two families,
+        # each with a layer-0 run per table
+        dru = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        fits = []
+        for k, (counts, width, loss) in enumerate([((3, 4), 4, dru), ((3, 3, 2), 8, dru),
+                                                   ((3, 4), 8, LossSpec("squared")),
+                                                   ((3, 3, 2), 4, dru)]):
+            table = one_hot_encode(np.indices(counts).reshape(len(counts), -1).T, counts)
+            h, alpha = init_networks(table.shape[1], width, loss, 2 * k, 2 * k + 1)
+            fits.append(Fit(h, alpha, table, np.arange(40) % len(table), np.zeros(40), loss, k))
+        group = nn._Lockstep(fits, TrainConfig())
+        nets = [net for family in group.families for net in family.nets]
+        assert len(group.families) == 2 and len(nets) == 7
+        layer = np.empty(group.params.size, dtype=int)
+        for q, net in enumerate(nets):
+            # a network's entries, read in buffer order, are its own params
+            assert group.params[group.owner == q].tobytes() == net.params.tobytes()
+            sizes = [(spec.input_width + 1) * spec.output_width for spec in net.layers]
+            layer[group.owner == q] = np.repeat(np.arange(len(sizes)), sizes)
+        assert (np.diff(layer) >= 0).all()  # layer by layer
+        for family in group.families:
+            for view in [*family.weights[0], *family.weights[1:], *family.biases]:
+                assert view.base is group.params
 
     def test_rebinding_a_layer_raises(self):
         net = init_mlp(mlp_architecture(3, 4), seed=0)
@@ -358,20 +374,23 @@ class TestTrainStack:
 
     # 12 one-hot cells of two covariates (3 x 4 levels), 7 columns
     table = one_hot_encode(np.indices((3, 4)).reshape(2, -1).T, (3, 4))
+    # 18 one-hot cells of three covariates (3 x 3 x 2 levels), 8 columns
+    wide = one_hot_encode(np.indices((3, 3, 2)).reshape(3, -1).T, (3, 3, 2))
 
-    def make_fit(self, rng, loss, width, n=137, scale=1.0):
+    def make_fit(self, rng, loss, width, n=137, scale=1.0, table=None):
+        table = self.table if table is None else table
         seeds = rng.integers(2**31, size=3)
-        h = init_mlp(mlp_architecture(7, width), seed=int(seeds[0]))
+        h = init_mlp(mlp_architecture(table.shape[1], width), seed=int(seeds[0]))
         alpha = None
         if loss.needs_alpha:
-            alpha = init_mlp(mlp_architecture(7, width, output_activation="relu"),
+            alpha = init_mlp(mlp_architecture(table.shape[1], width, output_activation="relu"),
                              seed=int(seeds[1]))
-        rows = rng.integers(0, len(self.table), size=n)
+        rows = rng.integers(0, len(table), size=n)
         targets = (rng.random(n) < 0.2 + 0.05 * rows).astype(float) * scale
-        return Fit(h, alpha, rows, targets, loss, int(seeds[2]))
+        return Fit(h, alpha, table, rows, targets, loss, int(seeds[2]))
 
     def solo(self, fit, cfg):
-        return train(fit.h, fit.alpha, self.table[fit.rows], fit.targets, fit.loss, cfg,
+        return train(fit.h, fit.alpha, fit.table[fit.rows], fit.targets, fit.loss, cfg,
                      seed=fit.seed)
 
     @staticmethod
@@ -392,24 +411,58 @@ class TestTrainStack:
         fits = [self.make_fit(rng, loss, width) for loss, width in STACK_LOSSES * 2]
         fits.append(self.make_fit(rng, *STACK_LOSSES[3], n=90))
         cfg = TrainConfig(max_epochs=25, patience=2)
-        outcomes = train_stack(self.table, fits, cfg)
+        outcomes = train_stack(fits, cfg)
         reports = [report for _, report in outcomes]
         assert len({r.epochs_run for r in reports}) > 3
         assert any(r.stopped_early for r in reports)
         for fit, outcome in zip(fits, outcomes):
             self.assert_same(outcome, self.solo(fit, cfg))
 
+    def test_two_tables_and_two_widths_in_one_group(self, rng, monkeypatch):
+        # every loss kind at widths 4 and 8 on tables of 7 and 8 columns,
+        # interleaved, train as one group of two families
+        groups = []
+
+        class Counting(nn._Lockstep):
+            def __init__(self, fits, cfg):
+                groups.append(len(fits))
+                super().__init__(fits, cfg)
+
+        monkeypatch.setattr(nn, "_Lockstep", Counting)
+        fits = [self.make_fit(rng, loss, width, table=table)
+                for loss, width in STACK_LOSSES for table in (self.table, self.wide)]
+        cfg = TrainConfig(max_epochs=12, patience=2)
+        outcomes = train_stack(fits, cfg)
+        assert groups == [len(fits)]
+        assert {fit.loss.kind for fit in fits} == {"squared", "ru", "dru", "pinball"}
+        for fit, outcome in zip(fits, outcomes):
+            self.assert_same(outcome, self.solo(fit, cfg))
+
+    def test_tables_of_one_shape_are_told_apart(self, rng):
+        # the table and its rows reversed share a shape but not their rows;
+        # keyed by width, the second table's fits would read the first's rows
+        flipped = self.table[::-1].copy()
+        dru = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+        fits = [self.make_fit(rng, loss, 4, table=table)
+                for loss in (dru, LossSpec("squared")) for table in (self.table, flipped)]
+        cfg = TrainConfig(max_epochs=5, patience=5)
+        outcomes = train_stack(fits, cfg)
+        for fit, outcome in zip(fits, outcomes):
+            self.assert_same(outcome, self.solo(fit, cfg))
+
     @pytest.mark.parametrize("kinds", [("dru", "dru", "dru"), ("dru", "squared", "dru", "squared")],
                              ids=["dru", "squared_among_dru"])
     def test_diverging_fit_fails_alone(self, rng, kinds):
-        # fit 1 diverges; squared and dRU fits of one width train in one group
+        # fit 1 diverges; squared and dRU fits of one width train in one
+        # group, with fits on a second table in the same call
         losses = {"dru": LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1)),
                   "squared": LossSpec("squared")}
         fits = [self.make_fit(rng, losses[kind], 4) for kind in kinds]
         fits[1] = self.make_fit(rng, losses[kinds[1]], 4, scale=1e200)
+        fits += [self.make_fit(rng, losses[kind], 4, table=self.wide) for kind in kinds]
         cfg = TrainConfig(max_epochs=6, patience=6)
         with np.errstate(all="ignore"):
-            outcomes = train_stack(self.table, fits, cfg)
+            outcomes = train_stack(fits, cfg)
             with pytest.raises(NumericError, match="training loss in epoch 1") as solo_error:
                 self.solo(fits[1], cfg)
         assert isinstance(outcomes[1], NumericError)
@@ -431,18 +484,20 @@ class TestTrainStack:
     ], ids=["squared", "dru"])
     def test_non_finite_validation_row_fails_alone(self, rng, loss):
         # an infinite feature row that only the validation split reads; the
-        # dRU fits train h and alpha as networks of one stack
+        # dRU fits train h and alpha as networks of one stack, beside fits
+        # on a second table
         table = np.vstack([self.table, np.full(7, np.inf)])
-        fits = [self.make_fit(rng, loss, 4) for _ in range(3)]
+        fits = [replace(self.make_fit(rng, loss, 4), table=table) for _ in range(3)]
         cfg = TrainConfig(max_epochs=4, patience=4)
         fits[1] = bad = self.validated_on(fits[1], len(self.table), cfg)
+        fits += [self.make_fit(rng, loss, 4, table=self.wide) for _ in range(2)]
         with np.errstate(all="ignore"):
-            outcomes = train_stack(table, fits, cfg)
+            outcomes = train_stack(fits, cfg)
         assert isinstance(outcomes[1], NumericError)
         assert str(outcomes[1]) == "non-finite activation in layer 0"
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 0"):
-            train(bad.h, bad.alpha, table[bad.rows], bad.targets, loss, cfg, seed=bad.seed)
-        for k in (0, 2):
+            self.solo(bad, cfg)
+        for k in (0, 2, 3, 4):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
 
     def test_non_finite_validation_names_h_layer_before_alpha_layer(self, rng):
@@ -452,7 +507,7 @@ class TestTrainStack:
         table = np.vstack([self.table, np.full(7, 1e300)])
         dru = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
         losses = [LossSpec("squared"), dru, dru, LossSpec("squared")]
-        fits = [self.make_fit(rng, loss, 4) for loss in losses]
+        fits = [replace(self.make_fit(rng, loss, 4), table=table) for loss in losses]
         cfg = TrainConfig(max_epochs=4, patience=4)
         bad = self.validated_on(fits[1], len(self.table), cfg)
         bad.h.weights[0][:] = np.abs(bad.h.weights[0])
@@ -460,9 +515,9 @@ class TestTrainStack:
         bad.alpha.weights[0][:] = 1e10
         fits[1] = bad
         with np.errstate(all="ignore"):
-            outcomes = train_stack(table, fits, cfg)
+            outcomes = train_stack(fits, cfg)
             with pytest.raises(NumericError) as solo_error:
-                train(bad.h, bad.alpha, table[bad.rows], bad.targets, dru, cfg, seed=bad.seed)
+                self.solo(bad, cfg)
         assert str(outcomes[1]) == str(solo_error.value) == "non-finite activation in layer 1"
         for k in (0, 2, 3):
             self.assert_same(outcomes[k], self.solo(fits[k], cfg))
@@ -475,32 +530,47 @@ class TestTrainStack:
 
         monkeypatch.setattr(nn, "_Lockstep", no_training)
         h = init_mlp(mlp_architecture(7, 4), seed=0)
-        good, bad = (Fit(h, None, r, np.zeros(40), LossSpec("squared"), seed=0)
+        good, bad = (Fit(h, None, self.table[:3], r, np.zeros(40), LossSpec("squared"), seed=0)
                      for r in (np.zeros(40, dtype=int), rows))
         with pytest.raises(ShapeError, match="integer indices into the table's 3 rows"):
-            train_stack(self.table[:3], [good, bad], TrainConfig(max_epochs=1))
+            train_stack([good, bad], TrainConfig(max_epochs=1))
 
-    def test_desk_subset_trains_as_two_groups(self, monkeypatch):
-        # the default methods plan 20 dRU and 5 squared fits of width 4 and
-        # 5 pinball fits of width 8 per covariate subset: one group per width
+    @pytest.mark.parametrize("table", [np.zeros(5), np.zeros((2, 3, 7))], ids=["1d", "3d"])
+    def test_table_that_is_not_2d_rejected_before_training(self, monkeypatch, table):
+        def no_training(*args):
+            raise AssertionError("a group was trained")
+
+        monkeypatch.setattr(nn, "_Lockstep", no_training)
+        h = init_mlp(mlp_architecture(7, 4), seed=0)
+        good, bad = (Fit(h, None, t, np.zeros(40, dtype=int), np.zeros(40), LossSpec("squared"), 0)
+                     for t in (self.table, table))
+        with pytest.raises(ShapeError, match=rf"feature tables must be 2-D, got shape "
+                                             rf"\({table.shape[0]},"):
+            train_stack([good, bad, bad], TrainConfig(max_epochs=1))
+
+    def test_desk_replicate_trains_as_one_group(self, monkeypatch):
+        # the default methods plan, per covariate subset, 20 dRU and 5
+        # squared fits of width 4 and 5 pinball fits of width 8: one group
+        # holds both subsets' 60 fits
         groups = []
 
         class Counting(nn._Lockstep):
-            def __init__(self, table, fits, cfg):
+            def __init__(self, fits, cfg):
                 groups.append(sorted(Counter((fit.loss.kind, fit.h.layers[0].output_width)
                                              for fit in fits).items()))
-                super().__init__(table, fits, cfg)
+                super().__init__(fits, cfg)
 
         monkeypatch.setattr(nn, "_Lockstep", Counting)
         resolved = validate_config({
             "population": {"n_population": 5000}, "bias": {"n_sample": 300},
             "sweep": {"prev_sample_size": 2000}, "train": {"max_epochs": 1}})
+        assert len(resolved["covariate_subsets"]) == 2
         result = run_sweep([population_spec_from_config(resolved, 7)],
-                           [bias_spec_from_config(resolved, 8)], resolved["covariate_subsets"][:1],
+                           [bias_spec_from_config(resolved, 8)], resolved["covariate_subsets"],
                            resolved["methods"], train_config_from_config(resolved),
                            sweep_config_from_config(resolved), base_seed=1)
-        assert not result.failures and len(result.records) == 7 * 5
-        assert sorted(groups) == [[(("dru", 4), 20), (("squared", 4), 5)], [(("pinball", 8), 5)]]
+        assert not result.failures and len(result.records) == 2 * 7 * 5
+        assert groups == [[(("dru", 4), 40), (("pinball", 8), 10), (("squared", 4), 10)]]
 
 
 class TestSerialization:

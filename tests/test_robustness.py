@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from drureg.errors import InfeasibleError, ParameterError
-from drureg.losses import MetaInfo
+from drureg.losses import MetaInfo, dru_loss, ru_loss
 from drureg.robustness import (
     DiscreteDistribution,
+    _greedy_fill,
     cvar,
     eta,
     sup_oracle_lp,
@@ -254,3 +255,52 @@ class TestLoopReference:
             dist = DiscreteDistribution(values=np.round(dist.values), probs=dist.probs)
             level = float(rng.uniform(0.01, 0.99))
             assert abs(cvar(dist, level) - loop_cvar(dist.values, dist.probs, level)) < 1e-12
+
+
+class TestDualIdentities:
+    """The robust losses are the duals of the worst cases: the minimum over
+    the threshold a of the expected loss equals the greedy sup. The
+    expectation is piecewise linear in a with kinks at the squared losses,
+    so its minimum over a >= 0 lies in {0} and those losses."""
+
+    @staticmethod
+    def law(rng):
+        k = int(rng.integers(1, 12))
+        probs = rng.random(k) + 0.05
+        y = rng.normal(0.0, 2.0, k)  # observations around the prediction z = 0
+        return probs / probs.sum(), y, y ** 2, float(rng.uniform(1.0, 4.0))
+
+    @staticmethod
+    def min_over_a(loss, probs, squared):
+        thresholds = np.concatenate(([0.0], squared))[:, None]
+        return float((loss(thresholds) @ probs).min())
+
+    @staticmethod
+    def relative_gap(a, b):
+        return abs(a - b) / max(abs(b), 1e-300)
+
+    def test_ru_is_dual_to_the_worst_case(self, rng):
+        for _ in range(2000):
+            probs, y, squared, gamma = self.law(rng)
+            expected = self.min_over_a(lambda a: ru_loss(0.0, a, y, gamma), probs, squared)
+            sup = worst_case_ru(DiscreteDistribution(squared, probs), gamma).sup_value
+            assert self.relative_gap(expected, sup) < 1e-12
+
+    def test_dru_is_dual_to_a_budget_of_gamma_minus_one(self, rng):
+        # only points on the announced side (y above z for d = +1) carry the
+        # surcharge; the extra weight gamma - 1 fits where that side holds
+        # at least eta(gamma) of the mass
+        feasible = 0
+        for _ in range(2000):
+            probs, y, squared, gamma = self.law(rng)
+            meta = MetaInfo(gamma, int(rng.choice((-1, 1))))
+            try:
+                sup = _greedy_fill(squared, probs, gamma, y * meta.direction > 0.0,
+                                   gamma - 1.0).sup_value
+            except InfeasibleError:
+                assert probs[y * meta.direction > 0.0].sum() < eta(gamma) + 1e-9
+                continue
+            feasible += 1
+            expected = self.min_over_a(lambda a: dru_loss(0.0, a, y, meta), probs, squared)
+            assert self.relative_gap(expected, sup) < 1e-12
+        assert feasible > 400  # 474 of the 2,000 laws at the fixture seed
