@@ -128,6 +128,15 @@ def worst_case_ru(losses: DiscreteDistribution, gamma: float) -> WorstCase:
     return _greedy_fill(losses.values, losses.probs, gamma, raisable, 1.0 - 1.0 / gamma)
 
 
+def bernoulli_endpoint(mu, gamma: float, d: int) -> np.ndarray:
+    """Sharp endpoint in direction d (+1, -1 or 0) of a Bernoulli mean mu over outcome
+    reweightings with ratios in [1/gamma, gamma]; it undoes biased_sample's tilt of a cell."""
+    eta(gamma)
+    up = np.where(d < 0, 1.0 - np.asarray(mu, dtype=float), mu)
+    top = np.minimum(gamma * up, 1.0 - (1.0 - up) / gamma) if d else up
+    return np.where(d < 0, 1.0 - top, top)
+
+
 def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
     """Directional worst case: only points whose residual sign equals the
     announced direction may be upweighted above gamma**-1.

@@ -39,6 +39,8 @@ DEFAULT_TARGET_SHARES = (0.35, 0.25, 0.15, 0.12, 0.08)
 
 DEFAULT_EFFECT_SCALE = 0.2
 
+_CSV_CHUNK_ROWS = 8192  # rows per write in Dataset.to_csv: bounds the text held at once
+
 
 def grid_levels(level_counts) -> np.ndarray:
     """Level indices of every cell of a grid, one row per flat cell index."""
@@ -179,11 +181,6 @@ class Dataset:
         self.cells.flags.writeable = self.outcomes.flags.writeable = False  # keeps cell_counts valid
 
     @property
-    def covariates(self) -> np.ndarray:
-        """(n_rows, n_covariates) level indices, unraveled from `cells`."""
-        return np.column_stack(np.unravel_index(self.cells, self.level_counts))
-
-    @property
     def n_rows(self) -> int:
         return self.cells.shape[0]
 
@@ -250,15 +247,24 @@ class Dataset:
         """CSV with covariate columns, one outcome column per target, and
         cell_id; a JSON provenance sidecar lands next to it."""
         path = Path(path)
+        # np.savetxt(fmt="%d", delimiter=",", newline="\r\n")'s bytes, with each distinct
+        # cell's levels and id formatted once and gathered around each row's outcome bits
+        present, row_cell = np.unique(self.cells, return_inverse=True)
+        levels = np.column_stack(np.unravel_index(present, self.level_counts)).tolist()
+        lead = np.array(["".join(f"{v}," for v in row) for row in levels], dtype=object)
+        tail = np.array([f"{c}\r\n" for c in present.tolist()], dtype=object)
+        bits = np.array(["0,", "1,"], dtype=object)
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerow(
                 list(self.covariate_names)
                 + [f"target_{t}" for t in range(self.n_targets)]
                 + ["cell_id"]
             )
-            columns = np.unravel_index(self.cells, self.level_counts)
-            np.savetxt(fh, np.column_stack([*columns, self.outcomes, self.cells]),
-                       fmt="%d", delimiter=",", newline="\r\n")
+            for start in range(0, self.n_rows, _CSV_CHUNK_ROWS):
+                rows = row_cell[start:start + _CSV_CHUNK_ROWS]
+                outcomes = self.outcomes[start:start + _CSV_CHUNK_ROWS].T.view(np.uint8)
+                columns = [lead[rows], *(bits[column] for column in outcomes), tail[rows]]
+                fh.write("".join(map("".join, zip(*(c.tolist() for c in columns)))))
         sidecar = {
             "covariate_names": list(self.covariate_names),
             "level_counts": list(self.level_counts),

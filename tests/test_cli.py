@@ -10,7 +10,7 @@ import pytest
 import drureg
 from drureg.cli import main
 from drureg.nn import TrainedModel, one_hot_encode
-from drureg.sampling import Dataset
+from drureg.sampling import Dataset, grid_levels
 
 TOY_CONFIG = {
     "seed": 42,
@@ -173,7 +173,8 @@ class TestTrain:
         run("train", "--config", self._train_config(tmp_path, loss="squared"),
             "--data", data, "--out", out_sq)
         dataset = Dataset.from_csv(data)
-        features = one_hot_encode(dataset.covariates, dataset.level_counts)
+        counts = dataset.level_counts
+        features = one_hot_encode(grid_levels(counts), counts)[dataset.cells]
         pred_dru = TrainedModel.from_json((out_dru / "model.json").read_text()).predict(features)
         pred_sq = TrainedModel.from_json((out_sq / "model.json").read_text()).predict(features)
         assert np.abs(pred_dru - pred_sq).max() < 1e-6

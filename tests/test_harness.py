@@ -300,16 +300,21 @@ class TestRunSweep:
         subsets = [["gender", "age", "area", "education", "employment", "past_vote"], ["age"]]
         result = run_sweep(pops, biases, subsets, ["regression_poststrat"], cfg,
                            SweepConfig(prev_sample_size=4000), base_seed=6)
+
+        def level_rows(data, cols):
+            levels = np.column_stack(np.unravel_index(data.cells, data.level_counts))
+            return {tuple(row) for row in levels[:, cols].tolist()}
+
         expected = []
         for replicate, (pop_spec, bias) in enumerate(zip(pops, biases)):
             population = generate_population(pop_spec)
             for subset in subsets:
                 cols = population.column_index(subset)
-                cells = {tuple(row) for row in population.covariates[:, cols].tolist()}
+                cells = level_rows(population, cols)
                 unseen = []
                 for t in range(population.n_targets):
                     sample = biased_sample(population, [bias], t)[0]
-                    seen = {tuple(row) for row in sample.covariates[:, cols].tolist()}
+                    seen = level_rows(sample, cols)
                     unseen.append(len(cells - seen))
                 expected.append({"replicate": replicate, "subset": "+".join(subset),
                                  "cells": len(cells), "max_unseen_in_training": max(unseen)})

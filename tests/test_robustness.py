@@ -6,13 +6,14 @@ from drureg.losses import MetaInfo, dru_loss, ru_loss
 from drureg.robustness import (
     DiscreteDistribution,
     _greedy_fill,
+    bernoulli_endpoint,
     cvar,
     eta,
     sup_oracle_lp,
     worst_case_dru,
     worst_case_ru,
 )
-from drureg.sampling import BiasSpec
+from drureg.sampling import BiasSpec, _sampling_weights_up
 
 
 def uniform_dist(values):
@@ -54,7 +55,8 @@ class TestEta:
         lambda gamma: worst_case_ru(uniform_dist([1.0, 2.0, 3.0]), gamma),
         lambda gamma: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), gamma),
         lambda gamma: BiasSpec(gamma_true=(2.0, gamma), d_true=(1, -1), n_sample=10, seed=0),
-    ], ids=["eta", "MetaInfo", "worst_case_ru", "sup_oracle_lp", "BiasSpec"])
+        lambda gamma: bernoulli_endpoint(0.5, gamma, 1),
+    ], ids=["eta", "MetaInfo", "worst_case_ru", "sup_oracle_lp", "BiasSpec", "bernoulli_endpoint"])
     def test_every_taker_of_gamma_rejects_a_bad_ratio_bound(self, taker, gamma):
         # NaN compares False with every bound, so only an explicit finiteness check stops it
         with pytest.raises(ParameterError, match="finite and >= 1"):
@@ -181,6 +183,39 @@ class TestWorstCaseDRU:
             except InfeasibleError:
                 continue
             assert ((wc.ratios - 1) * probs) @ y > 0
+
+
+class TestBernoulliEndpoint:
+    """The sharp endpoint of a cell's mean over the gamma-set is the worst
+    case of the cell's Bernoulli law, and it undoes the sampler's tilt."""
+
+    def test_matches_the_greedy_and_the_lp_worst_cases(self, rng):
+        for gamma in rng.uniform(1.0, 6.0, 20):
+            mu = rng.uniform(0.001, 0.999, 10)
+            up, down = bernoulli_endpoint(mu, gamma, 1), bernoulli_endpoint(mu, gamma, -1)
+            assert np.array_equal(bernoulli_endpoint(mu, gamma, 0), mu)
+            for i in range(mu.size):
+                law = DiscreteDistribution(np.array([0.0, 1.0]), np.array([1.0 - mu[i], mu[i]]))
+                mirror = DiscreteDistribution(-law.values, law.probs)  # sup of -Y is -(inf of Y)
+                assert abs(up[i] - worst_case_ru(law, gamma).sup_value) <= 1e-12
+                assert abs(down[i] + worst_case_ru(mirror, gamma).sup_value) <= 1e-12
+                assert abs(up[i] - sup_oracle_lp(law, gamma)) <= 1e-9
+                assert abs(down[i] + sup_oracle_lp(mirror, gamma)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, -1])
+    def test_recovers_mu_from_the_sampler_pinned_mean(self, rng, d):
+        for gamma in [1.0, *rng.uniform(1.0, 6.0, 30)]:
+            split = eta(gamma)
+            # the tilt acts on the mean of the undersampled side, on both sides of eta
+            tilted = np.concatenate((rng.uniform(0.0, split, 20), rng.uniform(split, 1.0, 20),
+                                     [0.0, split, 1.0]))
+            mu = tilted if d == 1 else 1.0 - tilted
+            if d == 1:
+                w1, _ = _sampling_weights_up(mu, gamma)
+            else:
+                _, w1 = _sampling_weights_up(1.0 - mu, gamma)
+            pinned = mu * w1  # the sample's cell mean: each cell keeps unit mass
+            assert np.abs(bernoulli_endpoint(pinned, gamma, d) - mu).max() <= 1e-12
 
 
 class TestOracleEquivalence:

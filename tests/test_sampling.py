@@ -1,3 +1,6 @@
+import csv
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -15,6 +18,11 @@ from drureg.sampling import (
     estimate_true_meta,
     generate_population,
 )
+
+
+def level_columns(data):
+    """(n_rows, n_covariates) level indices of a dataset, unraveled from its cells."""
+    return np.column_stack(np.unravel_index(data.cells, data.level_counts))
 
 
 def flat_spec(mean, n=100_000, covariates=(("gender", 2), ("age", 5)), n_targets=1, seed=0):
@@ -99,10 +107,10 @@ class TestCellIndex:
     @given(schemas())
     def test_matches_ravel_multi_index_of_the_subset_columns(self, schema):
         data, subset, covariates = schema
-        assert np.array_equal(data.covariates, covariates)
+        assert np.array_equal(level_columns(data), covariates)
         cols = [data.covariate_names.index(name) for name in subset]
         counts = [data.level_counts[c] for c in cols]
-        expected = np.ravel_multi_index(data.covariates[:, cols].T, counts)
+        expected = np.ravel_multi_index(covariates[:, cols].T, counts)
         assert np.array_equal(data.cell_index(subset), expected)
         assert data.n_cells(subset) == int(np.prod(counts))
         assert ((data.cell_index(subset) >= 0) & (data.cell_index(subset) < data.n_cells(subset))).all()
@@ -237,8 +245,6 @@ class TestGeneratePopulation:
     def test_matches_the_column_stack_build(self, generators, spec):
         covariates, outcomes, reference = column_stack_population(spec)
         pop = generate_population(spec)
-        assert pop.covariates.dtype == covariates.dtype and pop.covariates.flags.c_contiguous
-        assert np.array_equal(pop.covariates, covariates)
         assert pop.outcomes.dtype == bool and np.array_equal(pop.outcomes, outcomes)
         assert generators[-1].bit_generator.state == reference.bit_generator.state
         # the build's cell index is the population's read-only cells field
@@ -266,7 +272,7 @@ class TestGeneratePopulation:
         spec = default_population_spec(n_population=5000, seed=12)
         a = generate_population(spec)
         b = generate_population(spec)
-        assert np.array_equal(a.covariates, b.covariates)
+        assert np.array_equal(a.cells, b.cells)
         assert np.array_equal(a.outcomes, b.outcomes)
 
 
@@ -323,7 +329,7 @@ class TestBiasedSample:
         expected, reference = choice_draw(pop, bias, target)
         made = len(generators)
         sample = biased_sample(pop, [bias], target)[0]
-        assert np.array_equal(sample.covariates, pop.covariates[expected])
+        assert np.array_equal(sample.cells, pop.cells[expected])
         assert np.array_equal(sample.outcomes, pop.outcomes[expected])
         assert len(generators) == made + 1  # biased_sample makes one generator
         assert generators[-1].bit_generator.state == reference.bit_generator.state
@@ -388,9 +394,10 @@ class TestBiasedSample:
         sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35)], 1)[0]
         cells = sample.cell_index()
         assert not cells.flags.writeable
-        assert np.array_equal(cells, np.ravel_multi_index(sample.covariates.T, sample.level_counts))
+        levels = level_columns(sample)
+        assert np.array_equal(cells, np.ravel_multi_index(levels.T, sample.level_counts))
         subset = ("past_vote", "gender")
-        expected = np.ravel_multi_index((sample.covariates[:, 5], sample.covariates[:, 0]), (4, 2))
+        expected = np.ravel_multi_index((levels[:, 5], levels[:, 0]), (4, 2))
         assert np.array_equal(sample.cell_index(subset), expected)
 
     def test_gamma_one_is_unbiased_subsample(self):
@@ -465,7 +472,7 @@ class TestBiasedSample:
         bias = BiasSpec((1.7,), (1,), 5_000, seed=11)
         a = biased_sample(pop, [bias], 0)[0]
         b = biased_sample(pop, [bias], 0)[0]
-        assert np.array_equal(a.covariates, b.covariates)
+        assert np.array_equal(a.cells, b.cells)
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_provenance_records_bias_and_warnings(self):
@@ -525,13 +532,59 @@ class TestEstimateTrueMeta:
             estimate_true_meta(sample, pop, 3, min_cell_rows=1)
 
 
+def savetxt_csv(data, path):
+    """The whole-table writer that Dataset.to_csv must match byte for byte:
+    a csv.writer header, then np.savetxt of every row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(list(data.covariate_names)
+                                + [f"target_{t}" for t in range(data.n_targets)] + ["cell_id"])
+        columns = np.unravel_index(data.cells, data.level_counts)
+        np.savetxt(fh, np.column_stack([*columns, data.outcomes, data.cells]),
+                   fmt="%d", delimiter=",", newline="\r\n")
+
+
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("n_rows, level_counts, n_targets", [
+        (0, (2, 3), 2),
+        (1, (2, 3), 2),
+        (500, (4, 3), 1),
+        (500, (3, 2), 12),
+        (3_000, (12, 1, 15), 3),  # two-digit levels and a one-level covariate
+        (20_000, (2, 5, 4, 3, 3, 4), 5),  # three 8,192-row chunks, the last one short
+    ], ids=["0_rows", "1_row", "1_target", "12_targets", "two_digit_and_one_level", "chunks"])
+    def test_bytes_match_savetxt(self, tmp_path, n_rows, level_counts, n_targets):
+        rng = np.random.default_rng(n_rows * 100 + n_targets)
+        cells = rng.integers(0, int(np.prod(level_counts)), size=n_rows).astype(np.int64)
+        # the first column is all true, the second (where there is one) all false
+        probs = np.resize([1.0, 0.0, 0.4, 0.9], n_targets)
+        outcomes = rng.random((n_rows, n_targets)) < probs
+        data = Dataset(cells, outcomes, tuple(f"c{j}" for j in range(len(level_counts))),
+                       level_counts)
+        data.to_csv(tmp_path / "fast.csv")
+        savetxt_csv(data, tmp_path / "savetxt.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        back = Dataset.from_csv(tmp_path / "fast.csv")
+        assert np.array_equal(back.cells, cells) and np.array_equal(back.outcomes, outcomes)
+
+    def test_huge_grid_writes_only_present_cells(self, tmp_path):
+        # 10**9 cells: the whole grid would hold 3 * 10**9 level values
+        data = Dataset(np.array([0, 123_456_789, 999_999_999], dtype=np.int64),
+                       np.array([[True], [False], [True]]), ("a", "b", "c"), (1000, 1000, 1000))
+        start = time.perf_counter()
+        data.to_csv(tmp_path / "d.csv")
+        back = Dataset.from_csv(tmp_path / "d.csv")
+        assert time.perf_counter() - start < 1.0
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"a,b,c,target_0,cell_id\r\n0,0,0,1,0\r\n123,456,789,0,123456789\r\n"
+            b"999,999,999,1,999999999\r\n")
+        assert np.array_equal(back.cells, data.cells)
+
     def test_dataset_round_trip(self, tmp_path):
         pop = generate_population(default_population_spec(n_population=500, seed=21))
         path = tmp_path / "pop.csv"
         pop.to_csv(path)
         back = Dataset.from_csv(path)
-        assert np.array_equal(back.covariates, pop.covariates)
+        assert np.array_equal(back.cells, pop.cells)
         assert np.array_equal(back.outcomes, pop.outcomes)
         assert back.covariate_names == pop.covariate_names
         assert back.level_counts == pop.level_counts
