@@ -11,7 +11,7 @@ population, never on the evaluation sample.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class RunFailure:
 class SweepResult:
     records: list[RunRecord]
     failures: list[RunFailure]
-    coverage: list[dict] = field(default_factory=list)
 
     def n_runs(self) -> int:
         return len({(r.replicate, r.subset, r.method) for r in self.records}) + len(self.failures)
@@ -184,7 +183,7 @@ def _fit_regression(design: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.n
     return design @ beta
 
 
-def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dict]]:
+def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure]]:
     (replicate, pop_spec, bias, subsets, methods, cfg, sweep_cfg, base_seed) = payload
     population = generate_population(pop_spec)
     n_targets = population.n_targets
@@ -207,76 +206,62 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure], list[dic
         samples.append(sample)
     y_true = [population.target_mean(t) for t in range(n_targets)]
     y_unweighted = [samples[t].target_mean(t) for t in range(n_targets)]
-
-    records: list[RunRecord] = []
-    failures: list[RunFailure] = []
-    coverage: list[dict] = []
     targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
-    # Pass 1: plan every network of the replicate in subset -> method ->
-    # target order, each (subset, method)'s fits starting at
-    # first_fit[subset_idx, method_idx]; they all train in one lockstep call.
+
+    # Plan each (subset, method) run: the error that fails it, or per target
+    # the index of its network in `fits` (None for the closed-form
+    # regression). Every network of the replicate trains in one lockstep call.
     fits: list[Fit] = []
-    first_fit: dict[tuple[int, int], int] = {}
-    plans = []
+    runs = []
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
         cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
-        cells = [sample.cell_index(subset) for sample in samples]
-        populated = table.fractions > 0
-        unseen = max(
-            np.count_nonzero(populated & (np.bincount(c, minlength=populated.size) == 0))
-            for c in cells)
-        coverage.append({
-            "replicate": replicate,
-            "subset": "+".join(subset),
-            "cells": int(np.count_nonzero(populated)),
-            "max_unseen_in_training": int(unseen),
-        })
-        plans.append((subset_idx, subset, table, cell_features, cells))
-        for method_idx, kind in enumerate(methods):
-            method = METHODS[kind]
-            if method.loss is None or (method.needs_meta and isinstance(informed, Exception)):
-                continue
-            first_fit[subset_idx, method_idx] = len(fits)
-            metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
-            width = sweep_cfg.hidden_width * method.width_factor
-            for t in range(n_targets):
-                seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
-                loss = method.loss(metas[t])
-                h, alpha = init_networks(cell_features.shape[1], width, loss,
-                                         _derive_seed(seed, 0), _derive_seed(seed, 1))
-                fits.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
-                                _derive_seed(seed, 2)))
-    outcomes = train_stack(fits, cfg)
-    # Pass 2: score each (subset, method); it fails as a whole at its first
-    # failing target.
-    for subset_idx, subset, table, cell_features, cells in plans:
         design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
+        cells = [sample.cell_index(subset) for sample in samples]
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
-            try:
-                if method.needs_meta and isinstance(informed, Exception):
-                    raise informed
-                method_records = []
+            if method.needs_meta and isinstance(informed, Exception):
+                plan = informed
+            elif method.loss is None:
+                plan = [None] * n_targets
+            else:
+                metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
+                width = sweep_cfg.hidden_width * method.width_factor
+                plan = list(range(len(fits), len(fits) + n_targets))
                 for t in range(n_targets):
-                    if method.loss is None:
-                        estimates = _fit_regression(design, cells[t], targets[t])
-                    else:
-                        outcome = outcomes[first_fit[subset_idx, method_idx] + t]
-                        if isinstance(outcome, Exception):
-                            raise outcome
-                        estimates = outcome[0].predict(cell_features)
-                    method_records.append(RunRecord(
-                        replicate=replicate, subset=tuple(subset), method=kind, target=t,
-                        y_hat=poststratify(estimates, table), y_true=y_true[t],
-                        y_unweighted=y_unweighted[t]))
-                records.extend(method_records)
-            except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
-                failures.append(RunFailure(
-                    replicate=replicate, subset=tuple(subset), method=kind,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-    return records, failures, coverage
+                    seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
+                    loss = method.loss(metas[t])
+                    h, alpha = init_networks(cell_features.shape[1], width, loss,
+                                             _derive_seed(seed, 0), _derive_seed(seed, 1))
+                    fits.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
+                                    _derive_seed(seed, 2)))
+            runs.append((tuple(subset), kind, table, cell_features, design, cells, plan))
+    outcomes = train_stack(fits, cfg)
+
+    # Score each run; it fails as a whole at its first failing target.
+    records: list[RunRecord] = []
+    failures: list[RunFailure] = []
+    for subset, kind, table, cell_features, design, cells, plan in runs:
+        try:
+            if isinstance(plan, Exception):
+                raise plan
+            run_records = []
+            for t, i in enumerate(plan):
+                if i is None:
+                    estimates = _fit_regression(design, cells[t], targets[t])
+                elif isinstance(outcomes[i], Exception):
+                    raise outcomes[i]
+                else:
+                    estimates = outcomes[i][0].predict(cell_features)
+                run_records.append(RunRecord(
+                    replicate=replicate, subset=subset, method=kind, target=t,
+                    y_hat=poststratify(estimates, table), y_true=y_true[t],
+                    y_unweighted=y_unweighted[t]))
+            records.extend(run_records)
+        except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
+            failures.append(RunFailure(replicate=replicate, subset=subset, method=kind,
+                                       error=f"{type(exc).__name__}: {exc}"))
+    return records, failures
 
 
 def run_sweep(populations, bias_specs, covariate_subsets, methods,
@@ -319,16 +304,11 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     else:
         outcomes = [_run_replicate(p) for p in payloads]
 
-    records: list[RunRecord] = []
-    failures: list[RunFailure] = []
-    coverage: list[dict] = []
-    for recs, fails, cover in outcomes:
-        records.extend(recs)
-        failures.extend(fails)
-        coverage.extend(cover)
+    records = [r for recs, _ in outcomes for r in recs]
+    failures = [f for _, fails in outcomes for f in fails]
     records.sort(key=lambda r: (r.replicate, r.subset, r.method, r.target))
     failures.sort(key=lambda f: (f.replicate, f.subset, f.method))
-    return SweepResult(records=records, failures=failures, coverage=coverage)
+    return SweepResult(records=records, failures=failures)
 
 
 def _b_values_by_method(result: SweepResult) -> dict[str, np.ndarray]:

@@ -12,8 +12,8 @@ from drureg.config import (
     train_config_from_config,
     validate_config,
 )
-from drureg import sampling
-from drureg.errors import ConfigError, UndefinedScoreError
+from drureg import harness, sampling
+from drureg.errors import ConfigError, NumericError, UndefinedScoreError
 from drureg.harness import (
     METHOD_KINDS,
     METHODS,
@@ -295,34 +295,37 @@ class TestRunSweep:
         assert sorted(f.method for f in result.failures) == ["dru_informed", "pinball"]
         assert {r.method for r in result.records} == {"nn_plain"}
 
-    def test_coverage_matches_brute_force_cell_sets(self):
-        pops, biases, cfg = small_setup(n_replicates=2, n_population=2000, n_sample=150)
-        subsets = [["gender", "age", "area", "education", "employment", "past_vote"], ["age"]]
-        result = run_sweep(pops, biases, subsets, ["regression_poststrat"], cfg,
-                           SweepConfig(prev_sample_size=4000), base_seed=6)
+    def test_run_fails_at_its_first_failing_target_and_keeps_no_records(self, monkeypatch):
+        pops, biases, cfg = small_setup(n_targets=3, directions=(1, -1, 1))
+        methods = ["dru_informed", "nn_plain", "regression_poststrat", "pinball"]
+        args = (pops, biases, [["gender", "age"]], methods, cfg,
+                SweepConfig(prev_sample_size=4000))
+        clean = run_sweep(*args, base_seed=8)
+        assert not clean.failures
+        real_train_stack = harness.train_stack
 
-        def level_rows(data, cols):
-            levels = np.column_stack(np.unravel_index(data.cells, data.level_counts))
-            return {tuple(row) for row in levels[:, cols].tolist()}
+        def failing_train_stack(fits, cfg):
+            outcomes = real_train_stack(fits, cfg)
+            # fits run in subset -> method -> target order: nn_plain's are 3..5
+            assert all(fit.loss.kind == "squared" and fit.alpha is None for fit in fits[3:6])
+            outcomes[4], outcomes[5] = NumericError("first"), NumericError("second")
+            return outcomes
 
-        expected = []
-        for replicate, (pop_spec, bias) in enumerate(zip(pops, biases)):
-            population = generate_population(pop_spec)
-            for subset in subsets:
-                cols = population.column_index(subset)
-                cells = level_rows(population, cols)
-                unseen = []
-                for t in range(population.n_targets):
-                    sample = biased_sample(population, [bias], t)[0]
-                    seen = level_rows(sample, cols)
-                    unseen.append(len(cells - seen))
-                expected.append({"replicate": replicate, "subset": "+".join(subset),
-                                 "cells": len(cells), "max_unseen_in_training": max(unseen)})
-        assert result.coverage == expected
-        # 2,000 rows leave some of the 1,440 full cells empty, and 150 sample
-        # rows cannot reach all of the populated ones
-        assert all(0 < row["max_unseen_in_training"] < row["cells"] < 1440
-                   for row in expected[::2])
+        monkeypatch.setattr(harness, "train_stack", failing_train_stack)
+        result = run_sweep(*args, base_seed=8)
+        assert [(f.method, f.error) for f in result.failures] == [
+            ("nn_plain", "NumericError: first")]
+        assert not [r for r in result.records if r.method == "nn_plain"]
+        assert result.records == [r for r in clean.records if r.method != "nn_plain"]
+
+    def test_regression_rows_do_not_depend_on_the_network_methods(self):
+        pops, biases, cfg = small_setup(n_replicates=2)
+        kw = dict(covariate_subsets=[["gender", "age"], ["age"]], cfg=cfg,
+                  sweep_cfg=SweepConfig(prev_sample_size=4000), base_seed=3)
+        full = run_sweep(pops, biases, methods=list(METHOD_KINDS), **kw)
+        alone = run_sweep(pops, biases, methods=["regression_poststrat"], **kw)
+        assert not full.failures and not alone.failures
+        assert alone.records == [r for r in full.records if r.method == "regression_poststrat"]
 
     def test_unbiased_samples_leave_little_bias_to_move(self):
         # no bias to remove: an exact-fit estimator scores near zero; the

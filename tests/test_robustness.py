@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from drureg.errors import InfeasibleError, ParameterError
+from drureg.harness import b_score
 from drureg.losses import MetaInfo, dru_loss, ru_loss
+from drureg.poststrat import build_cell_table, poststratify
 from drureg.robustness import (
     DiscreteDistribution,
     _greedy_fill,
@@ -13,7 +15,13 @@ from drureg.robustness import (
     worst_case_dru,
     worst_case_ru,
 )
-from drureg.sampling import BiasSpec, _sampling_weights_up
+from drureg.sampling import (
+    BiasSpec,
+    _sampling_weights_up,
+    biased_sample,
+    default_population_spec,
+    generate_population,
+)
 
 
 def uniform_dist(values):
@@ -216,6 +224,37 @@ class TestBernoulliEndpoint:
                 _, w1 = _sampling_weights_up(1.0 - mu, gamma)
             pinned = mu * w1  # the sample's cell mean: each cell keeps unit mass
             assert np.abs(bernoulli_endpoint(pinned, gamma, d) - mu).max() <= 1e-12
+
+    @pytest.fixture(scope="class")
+    def saturated(self):
+        # 400k rows per target drawn at tilt = announced gamma: each cell's
+        # sample mean sits at the sampler's pinned value
+        population = generate_population(default_population_spec(n_population=100_000, seed=7000))
+        bias = BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 400_000, seed=8000)
+        samples = [biased_sample(population, [bias], t)[0] for t in range(population.n_targets)]
+        return population, bias, samples
+
+    @pytest.mark.parametrize("subset", [("gender", "age"), ("gender", "age", "area", "education",
+                                                            "employment", "past_vote")])
+    def test_saturated_cell_endpoints_remove_the_bias(self, saturated, subset):
+        population, bias, samples = saturated
+        table = build_cell_table(population, subset)
+
+        def b(sign):
+            y_hat = []
+            for t, sample in enumerate(samples):
+                cells = sample.cell_index(subset)
+                rows = np.bincount(cells, minlength=table.fractions.size)
+                ones = np.bincount(cells, weights=sample.outcomes[:, t], minlength=rows.size)
+                # a cell the draw misses takes the sample's target mean
+                mean = np.where(rows > 0, ones / np.maximum(rows, 1), sample.target_mean(t))
+                y_hat.append(poststratify(
+                    bernoulli_endpoint(mean, 2.0, sign * bias.d_true[t]), table))
+            return b_score([population.target_mean(t) for t in range(len(samples))], y_hat,
+                           [s.target_mean(t) for t, s in enumerate(samples)])
+
+        assert b(1) >= 0.95
+        assert b(-1) < 0  # the announced side matters: flipped, it adds bias
 
 
 class TestOracleEquivalence:
