@@ -183,7 +183,11 @@ def _fit_regression(design: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.n
     return design @ beta
 
 
-def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure]]:
+def _plan_replicate(payload) -> tuple:
+    """(y_true, y_unweighted, runs, fits) of a replicate, with no reference to
+    its population. A run is (subset, kind, cell table, cell features,
+    sources): the error that fails it, or per target the regression's cell
+    estimates or a network `Fit`; `fits` holds every `Fit` in run order."""
     (replicate, pop_spec, bias, subsets, methods, cfg, sweep_cfg, base_seed) = payload
     population = generate_population(pop_spec)
     n_targets = population.n_targets
@@ -201,58 +205,61 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure]]:
                 informed.append(estimate_true_meta(
                     prev, population, t, min_cell_rows=sweep_cfg.meta_min_cell_rows))
             except Exception as exc:  # noqa: BLE001 - only the informed methods lose this replicate
-                informed = exc
+                informed = exc.with_traceback(None)  # its frames hold the population
         del prev
         samples.append(sample)
     y_true = [population.target_mean(t) for t in range(n_targets)]
     y_unweighted = [samples[t].target_mean(t) for t in range(n_targets)]
     targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
 
-    # Plan each (subset, method) run: the error that fails it, or per target
-    # the index of its network in `fits` (None for the closed-form
-    # regression). Every network of the replicate trains in one lockstep call.
-    fits: list[Fit] = []
-    runs = []
+    runs, fits = [], []
     for subset_idx, subset in enumerate(subsets):
         table = build_cell_table(population, subset)
         cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
-        design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
         cells = [sample.cell_index(subset) for sample in samples]
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
             if method.needs_meta and isinstance(informed, Exception):
-                plan = informed
+                sources = informed
             elif method.loss is None:
-                plan = [None] * n_targets
+                design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
+                try:
+                    sources = [_fit_regression(design, c, y) for c, y in zip(cells, targets)]
+                except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
+                    sources = exc.with_traceback(None)
             else:
                 metas = method.metas(informed) if method.needs_meta else (None,) * n_targets
                 width = sweep_cfg.hidden_width * method.width_factor
-                plan = list(range(len(fits), len(fits) + n_targets))
+                sources = []
                 for t in range(n_targets):
                     seed = _derive_seed(base_seed, replicate, subset_idx, method_idx, t)
                     loss = method.loss(metas[t])
                     h, alpha = init_networks(cell_features.shape[1], width, loss,
                                              _derive_seed(seed, 0), _derive_seed(seed, 1))
-                    fits.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
-                                    _derive_seed(seed, 2)))
-            runs.append((tuple(subset), kind, table, cell_features, design, cells, plan))
-    outcomes = train_stack(fits, cfg)
+                    sources.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
+                                       _derive_seed(seed, 2)))
+                fits += sources
+            runs.append((tuple(subset), kind, table, cell_features, sources))
+    return y_true, y_unweighted, runs, fits
 
-    # Score each run; it fails as a whole at its first failing target.
-    records: list[RunRecord] = []
-    failures: list[RunFailure] = []
-    for subset, kind, table, cell_features, design, cells, plan in runs:
+
+def _score_replicate(replicate: int, plan: tuple, trained: dict) -> tuple[list, list]:
+    """Records and failures of a planned replicate; `trained` maps each of
+    its fits to its `train_stack` outcome. A run fails as a whole at its
+    first failing target."""
+    y_true, y_unweighted, runs, _ = plan
+    records, failures = [], []
+    for subset, kind, table, cell_features, sources in runs:
         try:
-            if isinstance(plan, Exception):
-                raise plan
+            if isinstance(sources, Exception):
+                raise sources
             run_records = []
-            for t, i in enumerate(plan):
-                if i is None:
-                    estimates = _fit_regression(design, cells[t], targets[t])
-                elif isinstance(outcomes[i], Exception):
-                    raise outcomes[i]
-                else:
-                    estimates = outcomes[i][0].predict(cell_features)
+            for t, estimates in enumerate(sources):
+                if isinstance(estimates, Fit):
+                    outcome = trained[estimates]
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    estimates = outcome[0].predict(cell_features)
                 run_records.append(RunRecord(
                     replicate=replicate, subset=subset, method=kind, target=t,
                     y_hat=poststratify(estimates, table), y_true=y_true[t],
@@ -262,6 +269,13 @@ def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure]]:
             failures.append(RunFailure(replicate=replicate, subset=subset, method=kind,
                                        error=f"{type(exc).__name__}: {exc}"))
     return records, failures
+
+
+def _run_replicate(payload) -> tuple[list[RunRecord], list[RunFailure]]:
+    """Plan a replicate, train all its fits in one `train_stack` call, score it."""
+    plan = _plan_replicate(payload)
+    fits = plan[3]
+    return _score_replicate(payload[0], plan, dict(zip(fits, train_stack(fits, payload[5]))))
 
 
 def run_sweep(populations, bias_specs, covariate_subsets, methods,
@@ -282,14 +296,7 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
         raise ConfigError("need exactly one bias spec per population replicate")
     entries = [lookup_method(kind) for kind in methods]  # every kind, before any work
     if any(method.loss is not None for method in entries):
-        n_sample = min(bias.n_sample for bias in bias_specs)
-        if n_sample < 2:
-            raise ConfigError(f"bias.n_sample must be >= 2 to train a network with a "
-                              f"validation row, got {n_sample}")
-        n_train = split_sizes(n_sample, cfg.validation_fraction)[1]
-        if n_train < cfg.batch_size:
-            raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {n_train}-row training "
-                              f"split of a {n_sample}-row sample")
+        split_sizes(min(bias.n_sample for bias in bias_specs), cfg)
     subsets = [tuple(s) for s in covariate_subsets]
     payloads = [
         (idx, pop, bias, subsets, methods, cfg, sweep_cfg, base_seed)

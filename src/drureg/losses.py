@@ -166,15 +166,16 @@ class LossColumns:
                 2.0 * diff * (self.g_inv + slope), self.a_coef - slope)
 
 
-def _residuals(z, a, y):
-    z, a, y = (np.asarray(v, dtype=float) for v in (z, a, y))
+def loss_terms(loss: LossColumns, z, a, y):
+    """(loss, dLoss/dz, dLoss/da) of stacked losses in one pass; `a` is None
+    for kinds without a threshold network."""
     diff = z - y
-    return diff, diff ** 2, a
+    return loss.terms(diff, diff ** 2, a)
 
 
 def loss_value(spec: LossSpec, z, a, y):
     """Evaluate the configured loss pointwise. `a` is ignored unless needed."""
-    return _columns(spec).terms(*_residuals(z, a, y))[0]
+    return loss_terms(_columns(spec), *(np.asarray(v, dtype=float) for v in (z, a, y)))[0]
 
 
 def loss_gradients(spec: LossSpec, z, a, y):
@@ -183,14 +184,7 @@ def loss_gradients(spec: LossSpec, z, a, y):
     At hinge and gate boundaries the inactive (lower) branch's gradient is
     returned; the indicators are treated as locally constant in z.
     """
-    return _columns(spec).terms(*_residuals(z, a, y))[1:]
-
-
-def loss_terms(loss: LossColumns, z, a, y):
-    """(loss, dLoss/dz, dLoss/da) of stacked losses in one pass; `a` is None
-    for kinds without a threshold network."""
-    diff = z - y
-    return loss.terms(diff, diff ** 2, a)
+    return loss_terms(_columns(spec), *(np.asarray(v, dtype=float) for v in (z, a, y)))[1:]
 
 
 def squared_loss(z, y):

@@ -280,10 +280,14 @@ class TrainedModel:
         )
 
 
-def split_sizes(n: int, validation_fraction: float) -> tuple[int, int]:
-    """(validation rows, training rows) that `train` splits n >= 2 rows into."""
-    n_val = int(round(n * validation_fraction))
-    n_val = min(max(n_val, 1), n - 1)
+def split_sizes(n: int, cfg: TrainConfig) -> tuple[int, int]:
+    """(validation rows, training rows) that `train` splits n rows into, the
+    one check that n >= 2 leaves a row to validate on and a batch to train."""
+    if n < 2:
+        raise ConfigError(f"training needs at least 2 rows, one of them to validate on; got {n}")
+    n_val = min(max(int(round(n * cfg.validation_fraction)), 1), n - 1)
+    if cfg.batch_size > n - n_val:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n - n_val}")
     return n_val, n - n_val
 
 
@@ -363,7 +367,7 @@ class _Lockstep:
             _widths(fits[i].h)[1:], fits[i].alpha is None, fits[i].loss.kind,
             slots.setdefault(id(fits[i].table), len(slots)))))
         n = len(fits[0].rows)
-        self.n_val, self.n_train = split_sizes(n, cfg.validation_fraction)
+        self.n_val, self.n_train = split_sizes(n, cfg)
         self.rngs = [np.random.default_rng(fit.seed) for fit in fits]
         # each fit's shuffle of its rows: the first n_val validate, the rest train
         self.order = np.empty((len(fits), n), dtype=int)
@@ -535,29 +539,29 @@ def train_stack(fits, cfg: TrainConfig) -> list:
     """Train many (h, alpha) pairs in lockstep, each on rows of its own table.
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
-    fits with the same row count train as one `_Lockstep` group, whatever
-    their tables, widths and loss kinds. alpha must have h's layer widths.
-    Every fit keeps its own loss, random stream, early stopping and
-    best-epoch snapshot, and leaves the group when it stops.
+    the stack is one `_Lockstep` group, whatever its fits' tables, widths
+    and loss kinds, so every fit must have the same row count, which
+    `split_sizes` checks once. alpha must have h's layer widths. Every fit
+    keeps its own loss, random stream, early stopping and best-epoch
+    snapshot, and leaves the group when it stops.
 
     Returns, per fit in order, (TrainedModel, TrainReport) or the
     NumericError that stopped it; the other fits carry on.
     """
     tables: dict = {}  # id of a fit's table -> that table as floats
-    groups: dict = {}
-    for i, fit in enumerate(fits):
+    stack: list[Fit] = []
+    for fit in fits:
         table = tables.setdefault(id(fit.table), np.asarray(fit.table, dtype=float))
         if table.ndim != 2:
             raise ShapeError(f"feature tables must be 2-D, got shape {table.shape}")
         n = np.shape(fit.rows)[0] if np.ndim(fit.rows) == 1 else -1
         if n < 0 or np.shape(fit.targets) != (n,):
             raise ShapeError("fit rows and targets must be aligned 1-D arrays")
-        if n < 2:
-            raise ConfigError(f"training needs at least 2 rows, one of them to validate on; "
-                              f"got {n}")
+        if stack and n != len(stack[0].rows):
+            raise ShapeError(f"the fits of a stack must share one row count, "
+                             f"got {len(stack[0].rows)} and {n}")
         rows = np.asarray(fit.rows)
-        if (not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0
-                or rows.max() >= len(table)):
+        if not np.issubdtype(rows.dtype, np.integer) or ((rows < 0) | (rows >= len(table))).any():
             raise ShapeError(f"fit rows must be integer indices into the table's "
                              f"{len(table)} rows")
         if fit.loss.needs_alpha and fit.alpha is None:
@@ -570,19 +574,13 @@ def train_stack(fits, cfg: TrainConfig) -> list:
         if fit.alpha is not None and _widths(fit.alpha) != _widths(fit.h):
             raise ShapeError(f"alpha network has layer widths {_widths(fit.alpha)}; "
                              f"expected h's {_widths(fit.h)}")
-        n_train = split_sizes(n, cfg.validation_fraction)[1]
-        if cfg.batch_size > n_train:
-            raise ConfigError(f"batch_size {cfg.batch_size} exceeds training-set size {n_train}")
-        groups.setdefault(n, {})[i] = replace(fit, table=table, rows=rows, targets=np.asarray(
-            fit.targets, dtype=float))
-    results: list = [None] * len(fits)
-    for members in groups.values():
-        # a diverging fit overflows; it leaves its group with a NumericError
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = _Lockstep(list(members.values()), cfg).run()
-        for i, outcome in zip(members, outcomes):
-            results[i] = outcome
-    return results
+        stack.append(replace(fit, table=table, rows=rows,
+                             targets=np.asarray(fit.targets, dtype=float)))
+    if not stack:
+        return []
+    # a diverging fit overflows; it leaves the group with a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Lockstep(stack, cfg).run()
 
 
 def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray, loss: LossSpec,

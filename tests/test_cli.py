@@ -232,7 +232,7 @@ class TestConfigBounds:
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "sweep", "prev_sample_size", 0, "sweep.prev_sample_size"),
         ("sweep", "bias", "n_sample", 12, "batch_size 12"),
-        ("sweep", "bias", "n_sample", 1, "bias.n_sample must be >= 2"),
+        ("sweep", "bias", "n_sample", 1, "at least 2 rows"),
         ("sweep", "train", "learning_rate", float("nan"), "train.learning_rate"),
         ("sweep", "population", "effect_scale", float("nan"), "population.effect_scale"),
         # a class constant of TrainConfig, not a key

@@ -1,4 +1,6 @@
 import concurrent.futures
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,7 +276,7 @@ class TestRunSweep:
     def test_one_batch_training_split_runs_every_method(self):
         pops, biases, cfg = small_setup(n_replicates=2, n_population=5000, n_sample=13,
                                         n_targets=5, directions=(1, -1, 1, -1, -1))
-        assert split_sizes(13, cfg.validation_fraction)[1] == cfg.batch_size == 12
+        assert split_sizes(13, cfg)[1] == cfg.batch_size == 12
         result = run_sweep(pops, biases, [["gender", "age"]], list(METHOD_KINDS), cfg,
                            SweepConfig(prev_sample_size=4000), base_seed=5)
         assert not result.failures
@@ -317,6 +319,26 @@ class TestRunSweep:
             ("nn_plain", "NumericError: first")]
         assert not [r for r in result.records if r.method == "nn_plain"]
         assert result.records == [r for r in clean.records if r.method != "nn_plain"]
+
+    @pytest.mark.parametrize("sweep_cfg", [SweepConfig(prev_sample_size=4000),
+                                           SweepConfig(prev_sample_size=40, meta_min_cell_rows=30)],
+                             ids=["meta", "meta_failure"])
+    def test_plan_releases_the_population(self, monkeypatch, sweep_cfg):
+        populations = []
+        real_generate = harness.generate_population
+
+        def generate(spec):
+            population = real_generate(spec)
+            populations.append(weakref.ref(population))
+            return population
+
+        monkeypatch.setattr(harness, "generate_population", generate)
+        pops, biases, cfg = small_setup()
+        plan = harness._plan_replicate((0, pops[0], biases[0], [("gender",), ("gender", "age")],
+                                        list(METHOD_KINDS), cfg, sweep_cfg, 3))
+        gc.collect()
+        assert len(populations) == 1 and populations[0]() is None
+        assert len(plan[2]) == 2 * len(METHOD_KINDS)  # the plan itself is kept
 
     def test_regression_rows_do_not_depend_on_the_network_methods(self):
         pops, biases, cfg = small_setup(n_replicates=2)

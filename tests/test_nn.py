@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import analytic_param_grads, fd_param_grads, max_rel_error, sample_smooth_instance
-from drureg import nn
+from drureg import harness, nn
 from drureg.config import (
     bias_spec_from_config,
     population_spec_from_config,
@@ -291,7 +291,7 @@ def reference_train(h, alpha, X, y, spec, cfg, seed):
     nets = [h.copy()] + ([alpha.copy()] if alpha is not None else [])
     moments = [(np.zeros_like(net.params), np.zeros_like(net.params)) for net in nets]
     rng = np.random.default_rng(seed)
-    n_val, n_train = split_sizes(len(y), cfg.validation_fraction)
+    n_val, n_train = split_sizes(len(y), cfg)
     order = rng.permutation(len(y))
     val, fit_rows = order[:n_val], order[n_val:]
 
@@ -406,10 +406,9 @@ class TestTrainStack:
 
     def test_mixed_stack_matches_one_fit_calls(self, rng):
         # two fits per loss and width, so stacks hold several models that
-        # stop at different epochs, plus one fit with its own row count;
-        # 137 rows leave 123 training rows, so every epoch ends on a partial batch
+        # stop at different epochs; 137 rows leave 123 training rows, so
+        # every epoch ends on a partial batch
         fits = [self.make_fit(rng, loss, width) for loss, width in STACK_LOSSES * 2]
-        fits.append(self.make_fit(rng, *STACK_LOSSES[3], n=90))
         cfg = TrainConfig(max_epochs=25, patience=2)
         outcomes = train_stack(fits, cfg)
         reports = [report for _, report in outcomes]
@@ -473,7 +472,7 @@ class TestTrainStack:
 
     def validated_on(self, fit, row, cfg):
         """`fit` with every validation row replaced by table row `row`."""
-        n_val, _ = split_sizes(len(fit.rows), cfg.validation_fraction)
+        n_val, _ = split_sizes(len(fit.rows), cfg)
         val_positions = np.random.default_rng(fit.seed).permutation(len(fit.rows))[:n_val]
         rows = fit.rows.copy()
         rows[val_positions] = row
@@ -535,6 +534,15 @@ class TestTrainStack:
         with pytest.raises(ShapeError, match="integer indices into the table's 3 rows"):
             train_stack([good, bad], TrainConfig(max_epochs=1))
 
+    def test_fits_of_two_row_counts_rejected_before_training(self, rng, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a group was trained")
+
+        monkeypatch.setattr(nn, "_Lockstep", no_training)
+        fits = [self.make_fit(rng, LossSpec("squared"), 4, n=n) for n in (137, 137, 90)]
+        with pytest.raises(ShapeError, match="share one row count, got 137 and 90"):
+            train_stack(fits, TrainConfig(max_epochs=1))
+
     @pytest.mark.parametrize("table", [np.zeros(5), np.zeros((2, 3, 7))], ids=["1d", "3d"])
     def test_table_that_is_not_2d_rejected_before_training(self, monkeypatch, table):
         def no_training(*args):
@@ -571,6 +579,35 @@ class TestTrainStack:
                            sweep_config_from_config(resolved), base_seed=1)
         assert not result.failures and len(result.records) == 2 * 7 * 5
         assert groups == [[(("dru", 4), 40), (("pinball", 8), 10), (("squared", 4), 10)]]
+
+
+class TestSplitSizes:
+    @pytest.mark.parametrize("n, batch_size, message", [
+        (0, 1, "training needs at least 2 rows, one of them to validate on; got 0"),
+        (1, 1, "training needs at least 2 rows, one of them to validate on; got 1"),
+        # 13 rows split into 1 validation and 12 training rows
+        (13, 13, "batch_size 13 exceeds training-set size 12"),
+    ])
+    def test_train_stack_and_sweep_show_its_message(self, monkeypatch, n, batch_size, message):
+        cfg = TrainConfig(batch_size=batch_size)
+        h = init_mlp(mlp_architecture(2, 4), seed=0)
+        fit = Fit(h, None, np.zeros((3, 2)), np.zeros(n, dtype=int), np.zeros(n),
+                  LossSpec("squared"), seed=0)
+        calls = [lambda: split_sizes(n, cfg),
+                 lambda: train(h, None, np.zeros((n, 2)), np.zeros(n), LossSpec("squared"), cfg),
+                 lambda: train_stack([fit, fit], cfg)]
+        if n:  # a bias spec needs a row; the sweep checks before any replicate work
+            resolved = validate_config({"population": {"n_population": 5000},
+                                        "bias": {"n_sample": n}})
+            monkeypatch.setattr(harness, "generate_population",
+                                lambda spec: pytest.fail("a replicate was planned"))
+            calls.append(lambda: run_sweep(
+                [population_spec_from_config(resolved, 1)], [bias_spec_from_config(resolved, 2)],
+                [["gender"]], ["nn_plain"], cfg))
+        for call in calls:
+            with pytest.raises(ConfigError) as error:
+                call()
+            assert str(error.value) == message
 
 
 class TestSerialization:
