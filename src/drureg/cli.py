@@ -132,6 +132,11 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _worse_gap(max_gap: float, gap: float) -> float:
+    # max() would drop a NaN gap, so it counts as infinite
+    return max(max_gap, np.inf if np.isnan(gap) else abs(gap))
+
+
 def cmd_oracle(args) -> int:
     resolved, out_dir, seed, _ = _resolve_common(args)
     oracle_cfg = resolved["oracle"]
@@ -150,16 +155,21 @@ def cmd_oracle(args) -> int:
 
         ru = worst_case_ru(losses, gamma)
         ru_lp = sup_oracle_lp(losses, gamma)
-        max_ru_gap = max(max_ru_gap, abs(ru.sup_value - ru_lp))
+        max_ru_gap = _worse_gap(max_ru_gap, ru.sup_value - ru_lp)
         line = f"[{i:03d}] gamma={gamma:.3f} ru greedy={ru.sup_value:.9f} lp={ru_lp:.9f}"
         try:
-            dru = worst_case_dru(losses, signs, MetaInfo(gamma=gamma, direction=direction))
             dru_lp = sup_oracle_lp(losses, gamma, constraint=(signs, direction))
-            max_dru_gap = max(max_dru_gap, abs(dru.sup_value - dru_lp))
+        except InfeasibleError:
+            dru_lp = np.nan  # against a feasible greedy this is a NaN gap
+        try:
+            dru = worst_case_dru(losses, signs, MetaInfo(gamma=gamma, direction=direction))
+            max_dru_gap = _worse_gap(max_dru_gap, dru.sup_value - dru_lp)
             line += f" dru greedy={dru.sup_value:.9f} lp={dru_lp:.9f}"
         except InfeasibleError:
             n_infeasible += 1
             line += " dru=infeasible"
+            if not np.isnan(dru_lp):  # the LP found a worst case the greedy says cannot exist
+                max_dru_gap = np.inf
         print(line)
     print(f"max discrepancy: ru={max_ru_gap:.3e} dru={max_dru_gap:.3e} "
           f"({n_infeasible} dru-infeasible instances)")

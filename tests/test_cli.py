@@ -9,6 +9,7 @@ import pytest
 
 import drureg
 from drureg.cli import main
+from drureg.errors import InfeasibleError
 from drureg.nn import TrainedModel, one_hot_encode
 from drureg.sampling import Dataset, grid_levels
 
@@ -223,6 +224,24 @@ class TestOracle:
     def test_infeasible_instances_reported_not_fatal(self, tmp_path, capsys):
         assert run("oracle", "--out", tmp_path / "or2", "--seed", 3) == 0
         assert "infeasible" in capsys.readouterr().out
+
+    def test_nan_lp_value_breaks_the_gate(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN gap must not read as agreement
+        monkeypatch.setattr("drureg.cli.sup_oracle_lp", lambda *args, **kwargs: np.nan)
+        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 0
+        stats = json.loads((tmp_path / "or" / "manifest.json").read_text())["stats"]
+        assert stats["max_ru_discrepancy"] == np.inf
+        assert stats["max_dru_discrepancy"] == np.inf
+
+    def test_infeasible_greedy_against_a_feasible_lp_breaks_the_gate(self, tmp_path,
+                                                                     monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("no worst case")
+        monkeypatch.setattr("drureg.cli.worst_case_dru", infeasible)
+        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 0
+        stats = json.loads((tmp_path / "or" / "manifest.json").read_text())["stats"]
+        assert stats["max_dru_discrepancy"] == np.inf
+        assert stats["max_ru_discrepancy"] < 1e-9
 
 
 class TestConfigBounds:

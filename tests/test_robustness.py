@@ -276,6 +276,42 @@ class TestOracleEquivalence:
         assert max_gap_ru < 1e-9
         assert max_gap_dru < 1e-9
 
+    def test_lp_matches_linprog_bit_for_bit(self, rng):
+        # linprog(method="highs") runs the same HiGHS solve behind a slower
+        # wrapper; a scipy that changes the private binding fails here
+        from scipy.optimize import linprog
+
+        def reference(dist, gamma, constraint):
+            lo, hi = dist.probs / gamma, dist.probs * gamma
+            if constraint is not None:
+                hi = np.where(constraint[0] == constraint[1], hi, lo)
+            res = linprog(-dist.values, A_eq=np.ones((1, dist.probs.size)), b_eq=[1.0],
+                          bounds=np.column_stack((lo, hi)), method="highs",
+                          options={"presolve": False})
+            if res.status == 2:
+                return "infeasible"
+            assert res.success, res.message
+            return -res.fun
+
+        def binding(dist, gamma, constraint):
+            try:
+                return sup_oracle_lp(dist, gamma, constraint=constraint)
+            except InfeasibleError:
+                return "infeasible"
+
+        sizes = [1, 2, 3, 10] * 5 + list(rng.integers(1, 2001, size=20))
+        n_infeasible = 0
+        for i, k in enumerate(sizes):
+            probs = rng.random(k) + 0.05
+            dist = DiscreteDistribution(values=rng.uniform(-10.0, 10.0, k),
+                                        probs=probs / probs.sum())
+            gamma = 1.0 if i % 4 == 0 else float(rng.uniform(1.0, 4.0))
+            for constraint in (None, (rng.choice((-1, 1), size=k), int(rng.choice((-1, 1))))):
+                expected = reference(dist, gamma, constraint)
+                assert binding(dist, gamma, constraint) == expected, (k, gamma, constraint)
+                n_infeasible += expected == "infeasible"
+        assert 0 < n_infeasible < len(sizes)
+
 
 def loop_greedy_ratios(values, probs, gamma, raisable):
     """Reference: raise points one at a time in descending loss order."""
