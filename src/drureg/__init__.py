@@ -66,6 +66,7 @@ from .sampling import (
     Dataset,
     PopulationSpec,
     biased_sample,
+    cell_design,
     default_population_spec,
     estimate_true_meta,
     generate_population,

@@ -39,9 +39,9 @@ from .config import (
 from .errors import ConfigError, DruRegError, InfeasibleError
 from .harness import _derive_seed, histogram_data, run_sweep, summarize
 from .losses import LossSpec, MetaInfo
-from .nn import init_networks, one_hot_encode, train
+from .nn import init_networks, train
 from .robustness import DiscreteDistribution, sup_oracle_lp, worst_case_dru, worst_case_ru
-from .sampling import Dataset, biased_sample, generate_population, grid_levels
+from .sampling import Dataset, biased_sample, cell_design, generate_population
 
 
 def _resolve_common(args) -> tuple[dict, Path, int, int]:
@@ -107,9 +107,9 @@ def cmd_train(args) -> int:
     model_cfg = resolved["model"]
     target = model_cfg["target"]
     data.check_target(target)
-    subset = model_cfg["covariates"] or list(data.covariate_names)
-    counts = [data.level_counts[c] for c in data.column_index(subset)]
-    features = one_hot_encode(grid_levels(counts), counts)[data.cell_index(subset)]
+    lookup, cell_features = cell_design(data.covariate_names, data.level_counts,
+                                        model_cfg["covariates"] or data.covariate_names)
+    features = cell_features[lookup[data.cells]]
     y = data.outcomes[:, target].astype(float)
 
     loss = LossSpec.from_dict({**model_cfg, "kind": model_cfg["loss"]})

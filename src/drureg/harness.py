@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedScoreError
 from .losses import LossSpec, MetaInfo
-from .nn import Fit, TrainConfig, init_networks, one_hot_encode, split_sizes, train_stack
+from .nn import Fit, TrainConfig, init_networks, split_sizes, train_stack
 from .poststrat import build_cell_table, poststratify
 from .robustness import eta
-from .sampling import biased_sample, estimate_true_meta, generate_population, grid_levels
+from .sampling import biased_sample, cell_design, estimate_true_meta, generate_population
 
 
 def _squared(meta: MetaInfo | None) -> LossSpec:
@@ -177,18 +177,17 @@ def _derive_seed(*parts) -> int:
 
 
 def _fit_regression(design: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Closed-form least squares on the design rows of the sample's cells;
-    `design` is the subset's one-hot cell features plus an intercept column."""
+    """Closed-form least squares on the design rows of the sample's subset cells."""
     beta, *_ = np.linalg.lstsq(design[rows], y, rcond=None)
     return design @ beta
 
 
 def _plan_replicate(payload) -> tuple:
     """(y_true, y_unweighted, runs, fits) of a replicate, with no reference to
-    its population. A run is (subset, kind, cell table, cell features,
-    sources): the error that fails it, or per target the regression's cell
-    estimates or a network `Fit`; `fits` holds every `Fit` in run order."""
-    (replicate, pop_spec, bias, subsets, methods, cfg, sweep_cfg, base_seed) = payload
+    its population. A run is (subset, kind, cell table, sources): the error
+    that fails it, or per target the regression's cell estimates or a network
+    `Fit`; `fits` holds every `Fit` in run order."""
+    (replicate, pop_spec, bias, designs, methods, cfg, sweep_cfg, base_seed) = payload
     population = generate_population(pop_spec)
     n_targets = population.n_targets
 
@@ -213,16 +212,14 @@ def _plan_replicate(payload) -> tuple:
     targets = [samples[t].outcomes[:, t].astype(float) for t in range(n_targets)]
 
     runs, fits = [], []
-    for subset_idx, subset in enumerate(subsets):
+    for subset_idx, (subset, lookup, cell_features, design) in enumerate(designs):
         table = build_cell_table(population, subset)
-        cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
-        cells = [sample.cell_index(subset) for sample in samples]
+        cells = [lookup[sample.cells] for sample in samples]
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
             if method.needs_meta and isinstance(informed, Exception):
                 sources = informed
             elif method.loss is None:
-                design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
                 try:
                     sources = [_fit_regression(design, c, y) for c, y in zip(cells, targets)]
                 except Exception as exc:  # noqa: BLE001 - failed runs are recorded, not fatal
@@ -239,7 +236,7 @@ def _plan_replicate(payload) -> tuple:
                     sources.append(Fit(h, alpha, cell_features, cells[t], targets[t], loss,
                                        _derive_seed(seed, 2)))
                 fits += sources
-            runs.append((tuple(subset), kind, table, cell_features, sources))
+            runs.append((subset, kind, table, sources))
     return y_true, y_unweighted, runs, fits
 
 
@@ -249,7 +246,7 @@ def _score_replicate(replicate: int, plan: tuple, trained: dict) -> tuple[list, 
     first failing target."""
     y_true, y_unweighted, runs, _ = plan
     records, failures = [], []
-    for subset, kind, table, cell_features, sources in runs:
+    for subset, kind, table, sources in runs:
         try:
             if isinstance(sources, Exception):
                 raise sources
@@ -259,7 +256,7 @@ def _score_replicate(replicate: int, plan: tuple, trained: dict) -> tuple[list, 
                     outcome = trained[estimates]
                     if isinstance(outcome, Exception):
                         raise outcome
-                    estimates = outcome[0].predict(cell_features)
+                    estimates = outcome[0].predict(estimates.table)
                 run_records.append(RunRecord(
                     replicate=replicate, subset=subset, method=kind, target=t,
                     y_hat=poststratify(estimates, table), y_true=y_true[t],
@@ -297,9 +294,14 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
     entries = [lookup_method(kind) for kind in methods]  # every kind, before any work
     if any(method.loss is not None for method in entries):
         split_sizes(min(bias.n_sample for bias in bias_specs), cfg)
-    subsets = [tuple(s) for s in covariate_subsets]
+    schema, *others = {(pop.covariate_names, pop.level_counts) for pop in populations}
+    if others:
+        raise ConfigError("population specs must share one covariate schema")
+    # one per subset, shared by every replicate: (subset, lookup, features, regression design)
+    designs = [(tuple(s), *cell_design(*schema, s)) for s in covariate_subsets]
+    designs = [(s, lookup, x, np.column_stack([x, np.ones(len(x))])) for s, lookup, x in designs]
     payloads = [
-        (idx, pop, bias, subsets, methods, cfg, sweep_cfg, base_seed)
+        (idx, pop, bias, designs, methods, cfg, sweep_cfg, base_seed)
         for idx, (pop, bias) in enumerate(zip(populations, bias_specs))
     ]
     if jobs > 1 and len(payloads) > 1:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, ShapeError
-from .sampling import Dataset
+from .errors import ConfigError, ShapeError
+from .sampling import Dataset, column_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -15,7 +15,7 @@ class CellTable:
     """Population fractions of the cells of a covariate cross-tabulation.
 
     `fractions` has one entry per flat cell index over `subset_names` (see
-    Dataset.cell_index), 0 for cells the population never reaches.
+    cell_design), 0 for cells the population never reaches.
     """
 
     subset_names: tuple[str, ...]
@@ -39,11 +39,9 @@ class CellTable:
 def build_cell_table(population: Dataset, covariate_subset) -> CellTable:
     """Empirical joint frequencies of the subset's cross-tabulation."""
     subset = tuple(covariate_subset)
-    if not subset:
-        raise SchemaError("covariate subset must be non-empty")
     # full-grid tallies summed over the other covariates, axes in subset order
     grid = population.cell_counts[0].reshape(population.level_counts)
-    tallies = np.einsum(grid, range(grid.ndim), population.column_index(subset))
+    tallies = np.einsum(grid, range(grid.ndim), column_index(population.covariate_names, subset))
     return CellTable(subset_names=subset, level_counts=tallies.shape,
                      fractions=tallies.ravel() / population.n_rows)
 

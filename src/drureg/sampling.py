@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, ParameterError, SchemaError
 from .losses import MetaInfo
+from .nn import one_hot_encode
 from .robustness import eta
 
 DEFAULT_COVARIATES = (
@@ -47,13 +48,40 @@ def grid_levels(level_counts) -> np.ndarray:
     return np.indices(level_counts).reshape(len(level_counts), -1).T
 
 
+def column_index(covariate_names, subset_names) -> np.ndarray:
+    """Column of each named covariate, of at least one; a repeated name would
+    resolve to its first column only, so it is rejected."""
+    if not len(subset_names):
+        raise SchemaError("a covariate subset must name at least one covariate")
+    cols = []
+    for name in subset_names:
+        if name not in covariate_names:
+            raise SchemaError(f"unknown covariate {name!r}; have {tuple(covariate_names)}")
+        if covariate_names.index(name) in cols:
+            raise SchemaError(f"covariate {name!r} is named twice")
+        cols.append(covariate_names.index(name))
+    return np.array(cols, dtype=int)
+
+
+def cell_design(covariate_names, level_counts, subset) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lookup, cell_features) of a covariate subset: each full-grid cell's
+    subset cell, in np.ravel_multi_index order of the subset's levels (a dataset's
+    subset cells are `lookup[data.cells]`), and one one-hot row per subset cell."""
+    cols = column_index(covariate_names, subset)
+    counts = tuple(level_counts[c] for c in cols)
+    lookup = np.ravel_multi_index(grid_levels(level_counts)[:, cols].T, counts)
+    cell_features = one_hot_encode(grid_levels(counts), counts)
+    lookup.flags.writeable = cell_features.flags.writeable = False
+    return lookup, cell_features
+
+
 @dataclass(frozen=True, eq=False)
 class PopulationSpec:
     """Recipe for one synthetic population.
 
     cell_means is an (n_cells, n_targets) array of per-target outcome
-    probabilities, one row per flat cell index (see Dataset.cell_index); each
-    row must sum to <= 1 so it can be read as coalition shares.
+    probabilities, one row per flat full-grid cell index (as Dataset.cells);
+    each row must sum to <= 1 so it can be read as coalition shares.
     """
 
     covariate_levels: tuple[tuple[str, int], ...]
@@ -175,9 +203,12 @@ class Dataset:
             raise SchemaError("cells and outcomes have different row counts")
         if len(self.level_counts) != len(self.covariate_names):
             raise SchemaError("level count number does not match names")
-        self.column_index(self.covariate_names)  # rejects a repeated name
+        column_index(self.covariate_names, self.covariate_names)  # rejects a repeated name
         if self.outcomes.dtype != bool:
             raise SchemaError("outcomes must be binary: a bool array")
+        n_cells = int(np.prod(self.level_counts))
+        if self.n_rows and not 0 <= self.cells.min() <= self.cells.max() < n_cells:
+            raise SchemaError(f"cells must be flat indices in [0, {n_cells}) of the level grid")
         self.cells.flags.writeable = self.outcomes.flags.writeable = False  # keeps cell_counts valid
 
     @property
@@ -193,29 +224,11 @@ class Dataset:
             raise ParameterError(f"target_index {target_index} is outside [0, {self.n_targets}): "
                                  f"no outcome column target_{target_index}")
 
-    def _subset_columns(self, subset) -> tuple[np.ndarray, tuple[int, ...]]:
-        cols = self.column_index(self.covariate_names if subset is None else subset)
-        return cols, tuple(self.level_counts[c] for c in cols)
-
-    def cell_index(self, subset=None) -> np.ndarray:
-        """Flat index of each row's cell over the covariate subset (default:
-        every covariate), in np.ravel_multi_index order of the subset's levels.
-
-        This is the one cell representation: cell tables, cell means and
-        per-cell estimates are all arrays indexed by it. The full-grid index
-        is the read-only `cells`; a subset's index is looked up from it in a
-        table over the full grid.
-        """
-        if subset is None:
-            return self.cells
-        cols, counts = self._subset_columns(subset)
-        return np.ravel_multi_index(grid_levels(self.level_counts)[:, cols].T, counts)[self.cells]
-
     @cached_property
     def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows per full-grid cell, and outcome-1 rows per (cell, target) as
         an (n_cells, n_targets) int64 table; computed once, read-only."""
-        n_cells = self.n_cells()
+        n_cells = int(np.prod(self.level_counts))
         rows = np.bincount(self.cells, minlength=n_cells)
         ones = np.empty((n_cells, self.n_targets), dtype=np.int64)
         for t in range(self.n_targets):
@@ -223,25 +236,10 @@ class Dataset:
         rows.flags.writeable = ones.flags.writeable = False
         return rows, ones
 
-    def n_cells(self, subset=None) -> int:
-        return int(np.prod(self._subset_columns(subset)[1]))
-
     def target_mean(self, target_index: int) -> float:
         """Share of rows with outcome 1: an exact count over n, as `outcomes.mean()`."""
         self.check_target(target_index)
         return float(self.cell_counts[1][:, target_index].sum() / self.n_rows)
-
-    def column_index(self, subset_names) -> np.ndarray:
-        """Column of each named covariate; a repeated name would resolve to
-        its first column only, so it is rejected."""
-        cols = []
-        for name in subset_names:
-            if name not in self.covariate_names:
-                raise SchemaError(f"unknown covariate {name!r}; have {self.covariate_names}")
-            if self.covariate_names.index(name) in cols:
-                raise SchemaError(f"covariate {name!r} is named twice")
-            cols.append(self.covariate_names.index(name))
-        return np.array(cols, dtype=int)
 
     def to_csv(self, path) -> None:
         """CSV with covariate columns, one outcome column per target, and

@@ -141,8 +141,8 @@ def test_sampler_fidelity():
     pop = generate_population(spec)
     sample = biased_sample(pop, [BiasSpec((gamma,), (1,), 100_000, seed=42)], 0)[0]
 
-    n_cells = pop.n_cells()
-    pc, sc = pop.cell_index(), sample.cell_index()
+    n_cells = int(np.prod(pop.level_counts))
+    pc, sc = pop.cells, sample.cells
     pop_rows = np.bincount(pc, minlength=n_cells)
     samp_rows = np.bincount(sc, minlength=n_cells)
     pop_mu = np.bincount(pc, weights=pop.outcomes[:, 0], minlength=n_cells) / np.maximum(pop_rows, 1)

@@ -9,9 +9,12 @@ import pytest
 
 import drureg
 from drureg.cli import main
+from drureg.config import train_config_from_config, validate_config
 from drureg.errors import InfeasibleError
-from drureg.nn import TrainedModel, one_hot_encode
-from drureg.sampling import Dataset, grid_levels
+from drureg.harness import _derive_seed
+from drureg.losses import LossSpec
+from drureg.nn import TrainedModel, init_networks, one_hot_encode, train
+from drureg.sampling import Dataset, cell_design, grid_levels
 
 TOY_CONFIG = {
     "seed": 42,
@@ -179,6 +182,28 @@ class TestTrain:
         pred_dru = TrainedModel.from_json((out_dru / "model.json").read_text()).predict(features)
         pred_sq = TrainedModel.from_json((out_sq / "model.json").read_text()).predict(features)
         assert np.abs(pred_dru - pred_sq).max() < 1e-6
+
+    def test_subset_model_trains_on_the_cell_design_features(self, generated, tmp_path):
+        # a reordered subset: age's levels come before gender's in the features
+        subset = ["age", "gender"]
+        cfg = self._train_config(tmp_path, loss="dru", gamma=2.0, direction=1, target=1,
+                                 covariates=subset)
+        data, out = generated / "sample_target_1.csv", tmp_path / "subset"
+        assert run("train", "--config", cfg, "--data", data, "--out", out) == 0
+        dataset = Dataset.from_csv(data)
+        lookup, cell_features = cell_design(dataset.covariate_names, dataset.level_counts, subset)
+        features = cell_features[lookup[dataset.cells]]
+        levels = np.column_stack(np.unravel_index(dataset.cells, dataset.level_counts))
+        assert np.array_equal(features, one_hot_encode(levels[:, [1, 0]], (5, 2)))
+        # the model the command wrote is train() on them with its derived seeds
+        resolved = validate_config(json.loads(cfg.read_text()))
+        model_cfg, seed = resolved["model"], resolved["seed"]
+        loss = LossSpec.from_dict({**model_cfg, "kind": model_cfg["loss"]})
+        h, alpha = init_networks(features.shape[1], model_cfg["hidden_width"], loss,
+                                 _derive_seed(seed, 10), _derive_seed(seed, 11))
+        model, _ = train(h, alpha, features, dataset.outcomes[:, 1].astype(float), loss,
+                         train_config_from_config(resolved), seed=_derive_seed(seed, 12))
+        assert (out / "model.json").read_bytes() == model.to_json().encode()
 
     def test_missing_outcome_column_exits_2(self, generated, tmp_path, capsys):
         cfg = self._train_config(tmp_path, loss="squared", target=7)

@@ -15,7 +15,7 @@ from drureg.config import (
     validate_config,
 )
 from drureg import harness, sampling
-from drureg.errors import ConfigError, NumericError, UndefinedScoreError
+from drureg.errors import ConfigError, NumericError, SchemaError, UndefinedScoreError
 from drureg.harness import (
     METHOD_KINDS,
     METHODS,
@@ -36,6 +36,7 @@ from drureg.robustness import eta
 from drureg.sampling import (
     BiasSpec,
     biased_sample,
+    cell_design,
     default_population_spec,
     generate_population,
     grid_levels,
@@ -189,7 +190,7 @@ def test_fit_regression_matches_the_per_target_column_stack():
     bias = BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 800, seed=42)
     for t in range(pop.n_targets):
         sample = biased_sample(pop, [bias], t)[0]
-        rows, y = sample.cell_index(subset), sample.outcomes[:, t].astype(float)
+        rows, y = sample.cells, sample.outcomes[:, t].astype(float)  # every covariate, in order
         a = np.column_stack([cell_features[rows], np.ones(rows.size)])
         beta, *_ = np.linalg.lstsq(a, y, rcond=None)
         expected = np.column_stack([cell_features, np.ones(cell_features.shape[0])]) @ beta
@@ -251,6 +252,45 @@ class TestRunSweep:
                            SweepConfig(prev_sample_size=4000), base_seed=2, jobs=jobs)
         assert opened == [workers]
         assert {r.replicate for r in result.records} == set(range(n_replicates))
+
+    @pytest.mark.parametrize("bad", ["unknown_covariate", "mixed_schemas"])
+    def test_bad_schema_rejected_before_any_population_is_drawn(self, monkeypatch, bad):
+        drawn = []
+        real_generate = harness.generate_population
+        monkeypatch.setattr(harness, "generate_population",
+                            lambda spec: drawn.append(spec) or real_generate(spec))
+        pops, biases, cfg = small_setup(n_replicates=2)
+        subsets = [["gender"], ["gender", "age"]]
+        if bad == "unknown_covariate":
+            subsets.append(["gender", "region"])
+            error, match = SchemaError, "unknown covariate 'region'"
+        else:
+            pops[1] = default_population_spec(n_population=1000, n_targets=2, seed=3,
+                                              covariate_levels=(("gender", 2), ("age", 4)))
+            error, match = ConfigError, "one covariate schema"
+        with pytest.raises(error, match=match):
+            run_sweep(pops, biases, subsets, ["regression_poststrat"], cfg,
+                      SweepConfig(prev_sample_size=4000))
+        assert len(drawn) == 0
+
+    def test_one_cell_design_per_subset_shared_by_every_replicate(self, monkeypatch):
+        designs, stacks = [], []
+        real_design, real_train_stack = harness.cell_design, harness.train_stack
+        monkeypatch.setattr(harness, "cell_design",
+                            lambda *args: designs.append(real_design(*args)) or designs[-1])
+        monkeypatch.setattr(harness, "train_stack",
+                            lambda fits, cfg: stacks.append(fits) or real_train_stack(fits, cfg))
+        pops, biases, cfg = small_setup(n_replicates=2)
+        result = run_sweep(pops, biases, [["gender", "age"], ["age"]],
+                           ["nn_plain", "regression_poststrat", "dru_informed"], cfg,
+                           SweepConfig(prev_sample_size=4000), base_seed=4, jobs=1)
+        assert not result.failures
+        assert len(designs) == 2 and len(stacks) == 2  # one design per subset, one stack per replicate
+        tables = [features for _, features in designs]
+        for fits in stacks:
+            # subset by subset: 2 network methods x 2 targets, each on its subset's one table
+            assert [next(i for i, x in enumerate(tables) if x is fit.table) for fit in fits] == \
+                [0] * 4 + [1] * 4
 
     def test_one_row_cdf_per_replicate_and_target(self, monkeypatch):
         # a target's previous-election and evaluation samples share one CDF
@@ -334,7 +374,11 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "generate_population", generate)
         pops, biases, cfg = small_setup()
-        plan = harness._plan_replicate((0, pops[0], biases[0], [("gender",), ("gender", "age")],
+        designs = []
+        for subset in [("gender",), ("gender", "age")]:
+            lookup, x = cell_design(pops[0].covariate_names, pops[0].level_counts, subset)
+            designs.append((subset, lookup, x, np.column_stack([x, np.ones(len(x))])))
+        plan = harness._plan_replicate((0, pops[0], biases[0], designs,
                                         list(METHOD_KINDS), cfg, sweep_cfg, 3))
         gc.collect()
         assert len(populations) == 1 and populations[0]() is None

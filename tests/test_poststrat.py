@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, SchemaError, ShapeError
 from drureg.poststrat import CellTable, build_cell_table, poststratify
-from drureg.sampling import Dataset, default_population_spec, generate_population, grid_levels
+from drureg.sampling import (
+    Dataset,
+    cell_design,
+    column_index,
+    default_population_spec,
+    generate_population,
+    grid_levels,
+)
 
 
 def make_dataset(columns, names, counts, n_targets=1):
@@ -104,8 +111,10 @@ class TestBuildCellTable:
     def test_matches_the_subset_bincount_in_any_name_order(self, subset):
         pop = generate_population(default_population_spec(n_population=20_000, seed=5))
         table = build_cell_table(pop, subset)
-        tallies = np.bincount(pop.cell_index(subset), minlength=pop.n_cells(subset))
-        assert table.level_counts == tuple(pop.level_counts[c] for c in pop.column_index(subset))
+        lookup, cell_features = cell_design(pop.covariate_names, pop.level_counts, subset)
+        tallies = np.bincount(lookup[pop.cells], minlength=len(cell_features))
+        cols = column_index(pop.covariate_names, subset)
+        assert table.level_counts == tuple(pop.level_counts[c] for c in cols)
         assert table.fractions.tobytes() == (tallies / pop.n_rows).tobytes()
 
     def test_fractions_sum_to_one(self):

@@ -19,6 +19,7 @@ from drureg.sampling import (
     BiasSpec,
     _sampling_weights_up,
     biased_sample,
+    cell_design,
     default_population_spec,
     generate_population,
 )
@@ -239,11 +240,12 @@ class TestBernoulliEndpoint:
     def test_saturated_cell_endpoints_remove_the_bias(self, saturated, subset):
         population, bias, samples = saturated
         table = build_cell_table(population, subset)
+        lookup, _ = cell_design(population.covariate_names, population.level_counts, subset)
 
         def b(sign):
             y_hat = []
             for t, sample in enumerate(samples):
-                cells = sample.cell_index(subset)
+                cells = lookup[sample.cells]
                 rows = np.bincount(cells, minlength=table.fractions.size)
                 ones = np.bincount(cells, weights=sample.outcomes[:, t], minlength=rows.size)
                 # a cell the draw misses takes the sample's target mean

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from drureg.errors import ConfigError, EstimationError, ParameterError, SchemaError
 from drureg.losses import MetaInfo
+from drureg.nn import one_hot_encode
 from drureg.sampling import (
     BiasSpec,
     Dataset,
     PopulationSpec,
     _sampling_weights_up,
     biased_sample,
+    cell_design,
+    column_index,
     default_population_spec,
     estimate_true_meta,
     generate_population,
@@ -76,7 +79,7 @@ class TestPopulationSpec:
         levels = np.indices((2, 3, 1)).reshape(3, -1).T[::-1]
         data = Dataset(np.ravel_multi_index(levels.T, (2, 3, 1)), np.zeros((6, 1), dtype=bool),
                        ("a", "b", "c"), (2, 3, 1))
-        for cell, row in zip(data.cell_index(), levels):
+        for cell, row in zip(data.cells, levels):
             tilt = np.zeros(3)
             for j, level in enumerate(row):
                 tilt += effects[j][level]
@@ -111,19 +114,26 @@ class TestCellIndex:
         cols = [data.covariate_names.index(name) for name in subset]
         counts = [data.level_counts[c] for c in cols]
         expected = np.ravel_multi_index(covariates[:, cols].T, counts)
-        assert np.array_equal(data.cell_index(subset), expected)
-        assert data.n_cells(subset) == int(np.prod(counts))
-        assert ((data.cell_index(subset) >= 0) & (data.cell_index(subset) < data.n_cells(subset))).all()
+        lookup, cell_features = cell_design(data.covariate_names, data.level_counts, subset)
+        assert np.array_equal(lookup[data.cells], expected)
+        # one lookup entry per full-grid cell, one feature row per subset cell
+        assert lookup.shape == (int(np.prod(data.level_counts)),)
+        assert cell_features.shape == (int(np.prod(counts)), sum(counts))
+        assert ((lookup >= 0) & (lookup < len(cell_features))).all()
+        # a subset cell's feature row is the one-hot encoding of its levels
+        levels = np.column_stack(np.unravel_index(np.arange(len(cell_features)), counts))
+        assert np.array_equal(cell_features, one_hot_encode(levels, counts))
 
     @given(schemas())
-    def test_default_subset_is_every_covariate(self, schema):
+    def test_every_covariate_in_order_looks_up_the_cells_themselves(self, schema):
         data, _, _ = schema
-        assert np.array_equal(data.cell_index(), data.cell_index(data.covariate_names))
-        assert data.n_cells() == int(np.prod(data.level_counts))
+        lookup, cell_features = cell_design(data.covariate_names, data.level_counts,
+                                            data.covariate_names)
+        assert np.array_equal(lookup, np.arange(int(np.prod(data.level_counts))))
+        assert len(cell_features) == len(lookup)
 
     def test_cells_field_is_read_only(self):
         pop = generate_population(default_population_spec(n_population=5_000, seed=2))
-        assert pop.cell_index() is pop.cells
         with pytest.raises(ValueError):
             pop.cells[0] = 0
         # the constructor makes the array it is given read-only
@@ -131,8 +141,13 @@ class TestCellIndex:
         Dataset(cells, np.zeros((3, 1), dtype=bool), ("a", "b"), (2, 2))
         with pytest.raises(ValueError):
             cells[0] = 1
-        # a subset index is computed fresh and belongs to the caller
-        pop.cell_index(["age"])[0] = 0
+        # a sweep shares one design per subset, so its arrays are read-only;
+        # a subset index gathered from the lookup is fresh and the caller's
+        lookup, cell_features = cell_design(pop.covariate_names, pop.level_counts, ["age"])
+        for shared in (lookup, cell_features):
+            with pytest.raises(ValueError):
+                shared[0] = 0
+        lookup[pop.cells][0] = 0
 
     def test_outcomes_field_is_read_only(self):
         # cell_counts is computed once, so a write to outcomes would leave it stale
@@ -150,7 +165,7 @@ class TestCellIndex:
 
     def test_cached_counts_equal_fresh_bincounts(self):
         pop = generate_population(default_population_spec(n_population=5_000, n_targets=3, seed=2))
-        cells, n_cells = pop.cell_index(), pop.n_cells()
+        cells, n_cells = pop.cells, int(np.prod(pop.level_counts))
         rows, ones = pop.cell_counts
         assert ones.shape == (n_cells, 3)
         assert np.array_equal(rows, np.bincount(cells, minlength=n_cells))
@@ -163,18 +178,22 @@ class TestCellIndex:
                 table[0] = 1
 
     def test_unknown_covariate_rejected(self):
-        data = Dataset(np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=bool), ("a",), (2,))
         with pytest.raises(SchemaError, match="unknown covariate"):
-            data.cell_index(["b"])
+            cell_design(("a",), (2,), ["b"])
 
     def test_repeated_covariate_name_rejected(self):
         # a repeated name would resolve to its first column only
         cells, outcomes = np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=bool)
-        data = Dataset(cells, outcomes, ("a", "b"), (2, 2))
         with pytest.raises(SchemaError, match="'a' is named twice"):
-            data.column_index(["a", "a"])
+            column_index(("a", "b"), ["a", "a"])
+        with pytest.raises(SchemaError, match="'a' is named twice"):
+            cell_design(("a", "b"), (2, 2), ["a", "a"])
         with pytest.raises(SchemaError, match="'a' is named twice"):
             Dataset(cells, outcomes, ("a", "a"), (2, 2))
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(SchemaError, match="at least one covariate"):
+            cell_design(("a", "b"), (2, 2), [])
 
 
 class TestDataset:
@@ -207,6 +226,16 @@ class TestDataset:
                 Dataset(cells, outcomes, ("a",), (2,))
         with pytest.raises(SchemaError, match="row counts"):
             Dataset(np.zeros(3, dtype=np.int64), outcomes, ("a",), (2,))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    def test_cell_outside_the_level_grid_rejected(self, bad):
+        # -1 would wrap to the last grid cell in a subset lookup, and a cell
+        # past the grid would fail deep inside a cell table's reshape
+        outcomes = np.zeros((3, 1), dtype=bool)
+        with pytest.raises(SchemaError, match=r"in \[0, 4\) of the level grid"):
+            Dataset(np.array([0, bad, 3], dtype=np.int64), outcomes, ("a", "b"), (2, 2))
+        Dataset(np.array([0, 3, 3], dtype=np.int64), outcomes, ("a", "b"), (2, 2))
+        Dataset(np.zeros(0, dtype=np.int64), outcomes[:0], ("a", "b"), (2, 2))  # no rows
 
 
 @pytest.fixture
@@ -248,9 +277,8 @@ class TestGeneratePopulation:
         assert pop.outcomes.dtype == bool and np.array_equal(pop.outcomes, outcomes)
         assert generators[-1].bit_generator.state == reference.bit_generator.state
         # the build's cell index is the population's read-only cells field
-        cells = pop.cell_index()
-        assert not cells.flags.writeable
-        assert np.array_equal(cells, np.ravel_multi_index(covariates.T, spec.level_counts))
+        assert not pop.cells.flags.writeable
+        assert np.array_equal(pop.cells, np.ravel_multi_index(covariates.T, spec.level_counts))
 
     def test_target_mean_is_the_outcome_mean_bit_for_bit(self):
         pop = generate_population(default_population_spec(n_population=30_001, seed=26))
@@ -301,7 +329,7 @@ def degenerate_spec(n=20_000, seed=21):
 
 def choice_draw(population, bias, t):
     """The rows and generator of the draw as Generator.choice with p, then a sort."""
-    cells, n_cells = population.cell_index(), population.n_cells()
+    cells, n_cells = population.cells, int(np.prod(population.level_counts))
     y = population.outcomes[:, t]
     cell_rows = np.bincount(cells, minlength=n_cells)
     cell_ones = np.bincount(cells, weights=y, minlength=n_cells)
@@ -392,13 +420,13 @@ class TestBiasedSample:
     def test_sample_cell_index_is_read_only_and_fresh_equal(self):
         pop = generate_population(default_population_spec(n_population=20_000, seed=34))
         sample = biased_sample(pop, [BiasSpec((2.0,) * 5, (1,) * 5, 3_000, seed=35)], 1)[0]
-        cells = sample.cell_index()
-        assert not cells.flags.writeable
+        assert not sample.cells.flags.writeable
         levels = level_columns(sample)
-        assert np.array_equal(cells, np.ravel_multi_index(levels.T, sample.level_counts))
+        assert np.array_equal(sample.cells, np.ravel_multi_index(levels.T, sample.level_counts))
         subset = ("past_vote", "gender")
+        lookup, _ = cell_design(sample.covariate_names, sample.level_counts, subset)
         expected = np.ravel_multi_index((levels[:, 5], levels[:, 0]), (4, 2))
-        assert np.array_equal(sample.cell_index(subset), expected)
+        assert np.array_equal(lookup[sample.cells], expected)
 
     def test_gamma_one_is_unbiased_subsample(self):
         pop = generate_population(flat_spec(0.5))
@@ -432,8 +460,8 @@ class TestBiasedSample:
         bias = BiasSpec((gamma,) * 2, (1, -1), 100_000, seed=8)
         for t in range(2):
             sample = biased_sample(pop, [bias], t)[0]
-            n_cells = pop.n_cells()
-            pc, sc = pop.cell_index(), sample.cell_index()
+            n_cells = int(np.prod(pop.level_counts))
+            pc, sc = pop.cells, sample.cells
             pop_rows = np.bincount(pc, minlength=n_cells)
             samp_rows = np.bincount(sc, minlength=n_cells)
             pop_mu = np.bincount(pc, weights=pop.outcomes[:, t], minlength=n_cells) / np.maximum(pop_rows, 1)
