@@ -10,7 +10,7 @@ resolved config and seed; rerunning any command with --config pointed at its
 manifest reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 I/O error, 2 usage or config/parse error, 3 partial
-sweep failure.
+sweep failure or an oracle gap above 1e-9.
 """
 
 from __future__ import annotations
@@ -180,6 +180,9 @@ def cmd_oracle(args) -> int:
         "n_infeasible": n_infeasible,
         "n_instances": oracle_cfg["n_instances"],
     })
+    if max(max_ru_gap, max_dru_gap) > 1e-9:  # the oracle's gate; an infinite gap fails it
+        print("greedy and LP worst cases differ by more than 1e-9", file=sys.stderr)
+        return 3
     return 0
 
 

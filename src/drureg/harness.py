@@ -213,7 +213,7 @@ def _plan_replicate(payload) -> tuple:
 
     runs, fits = [], []
     for subset_idx, (subset, lookup, cell_features, design) in enumerate(designs):
-        table = build_cell_table(population, subset)
+        table = build_cell_table(population, lookup)
         cells = [lookup[sample.cells] for sample in samples]
         for method_idx, kind in enumerate(methods):
             method = METHODS[kind]
@@ -299,6 +299,8 @@ def run_sweep(populations, bias_specs, covariate_subsets, methods,
         raise ConfigError("population specs must share one covariate schema")
     # one per subset, shared by every replicate: (subset, lookup, features, regression design)
     designs = [(tuple(s), *cell_design(*schema, s)) for s in covariate_subsets]
+    if len({d[0] for d in designs}) < len(designs) or len(set(methods)) < len(methods):
+        raise ConfigError("a repeated covariate subset or method would merge two runs' records")
     designs = [(s, lookup, x, np.column_stack([x, np.ones(len(x))])) for s, lookup, x in designs]
     payloads = [
         (idx, pop, bias, designs, methods, cfg, sweep_cfg, base_seed)

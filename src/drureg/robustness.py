@@ -41,7 +41,7 @@ class DiscreteDistribution:
         if (probs <= 0).any():
             raise ParameterError("probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ParameterError(f"probabilities must sum to 1, got {probs.sum()!r}")
+            raise ParameterError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
 
     def mean(self) -> float:
         return float(self.values @ self.probs)

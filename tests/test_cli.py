@@ -253,17 +253,28 @@ class TestOracle:
     def test_nan_lp_value_breaks_the_gate(self, tmp_path, monkeypatch):
         # max(0.0, nan) is 0.0: a NaN gap must not read as agreement
         monkeypatch.setattr("drureg.cli.sup_oracle_lp", lambda *args, **kwargs: np.nan)
-        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 0
+        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 3
         stats = json.loads((tmp_path / "or" / "manifest.json").read_text())["stats"]
         assert stats["max_ru_discrepancy"] == np.inf
         assert stats["max_dru_discrepancy"] == np.inf
+
+    def test_finite_gap_above_the_gate_exits_3_after_the_manifest(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        real_lp = drureg.cli.sup_oracle_lp
+        monkeypatch.setattr("drureg.cli.sup_oracle_lp",
+                            lambda *args, **kwargs: real_lp(*args, **kwargs) + 2e-9)
+        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 3
+        assert "differ by more than 1e-9" in capsys.readouterr().err
+        stats = json.loads((tmp_path / "or" / "manifest.json").read_text())["stats"]
+        assert 1e-9 < stats["max_ru_discrepancy"] < 1e-8
+        assert 1e-9 < stats["max_dru_discrepancy"] < 1e-8
 
     def test_infeasible_greedy_against_a_feasible_lp_breaks_the_gate(self, tmp_path,
                                                                      monkeypatch):
         def infeasible(*args, **kwargs):
             raise InfeasibleError("no worst case")
         monkeypatch.setattr("drureg.cli.worst_case_dru", infeasible)
-        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 0
+        assert run("oracle", "--out", tmp_path / "or", "--seed", 7) == 3
         stats = json.loads((tmp_path / "or" / "manifest.json").read_text())["stats"]
         assert stats["max_dru_discrepancy"] == np.inf
         assert stats["max_ru_discrepancy"] < 1e-9

@@ -57,6 +57,10 @@ def small_setup(n_replicates=1, n_population=15_000, n_sample=600, n_targets=2,
 
 
 class TestBScore:
+    def test_inputs_need_one_entry_per_target(self):
+        with pytest.raises(ConfigError, match="b_score inputs must have one entry per target"):
+            b_score([0.3, 0.2], [0.3], [0.25, 0.3])
+
     def test_perfect_prediction_scores_one(self):
         assert b_score([0.3, 0.2], [0.3, 0.2], [0.25, 0.3]) == 1.0
 
@@ -182,10 +186,10 @@ def test_fit_regression_matches_the_per_target_column_stack():
     # 3,000 rows leave full cells empty in the population, and 800 sample
     # rows leave more unseen, so the least-squares problem is rank deficient
     pop = generate_population(default_population_spec(n_population=3_000, seed=41))
-    subset = pop.covariate_names
-    table = build_cell_table(pop, subset)
+    lookup, _ = cell_design(pop.covariate_names, pop.level_counts, pop.covariate_names)
+    table = build_cell_table(pop, lookup)
     assert (table.fractions == 0).any()
-    cell_features = one_hot_encode(grid_levels(table.level_counts), table.level_counts)
+    cell_features = one_hot_encode(grid_levels(pop.level_counts), pop.level_counts)
     design = np.column_stack([cell_features, np.ones(cell_features.shape[0])])
     bias = BiasSpec((2.0,) * 5, (1, -1, 1, -1, -1), 800, seed=42)
     for t in range(pop.n_targets):
@@ -273,6 +277,23 @@ class TestRunSweep:
                       SweepConfig(prev_sample_size=4000))
         assert len(drawn) == 0
 
+    @pytest.mark.parametrize("subsets, methods", [
+        ([["gender", "age"], ["age", "gender"], ["gender", "age"]], ["nn_plain"]),
+        ([["gender", "age"], ["age", "gender"]], ["nn_plain", "regression_poststrat", "nn_plain"]),
+    ], ids=["subset", "method"])
+    def test_repeated_run_key_rejected_before_any_population_is_drawn(self, monkeypatch,
+                                                                       subsets, methods):
+        # records are keyed by (replicate, subset, method), so a repeat would
+        # merge two runs; the same names in another order are another subset
+        drawn = []
+        real_generate = harness.generate_population
+        monkeypatch.setattr(harness, "generate_population",
+                            lambda spec: drawn.append(spec) or real_generate(spec))
+        pops, biases, cfg = small_setup()
+        with pytest.raises(ConfigError, match="would merge two runs' records"):
+            run_sweep(pops, biases, subsets, methods, cfg, SweepConfig(prev_sample_size=4000))
+        assert len(drawn) == 0
+
     def test_one_cell_design_per_subset_shared_by_every_replicate(self, monkeypatch):
         designs, stacks = [], []
         real_design, real_train_stack = harness.cell_design, harness.train_stack
@@ -326,6 +347,26 @@ class TestRunSweep:
         pops, biases, cfg = small_setup()
         with pytest.raises(ConfigError):
             run_sweep([], [], [["gender"]], ["nn_plain"], cfg)
+
+    def test_one_bias_spec_per_population_required(self):
+        pops, biases, cfg = small_setup(n_replicates=2)
+        with pytest.raises(ConfigError, match="need exactly one bias spec per population replicate"):
+            run_sweep(pops, biases[:1], [["gender"]], ["nn_plain"], cfg)
+
+    def test_failed_regression_fails_its_run_only(self, monkeypatch):
+        pops, biases, cfg = small_setup()
+        args = (pops, biases, [["gender", "age"]], ["regression_poststrat", "nn_plain"], cfg,
+                SweepConfig(prev_sample_size=4000))
+        clean = run_sweep(*args, base_seed=3)
+
+        def singular(design, rows, y):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "_fit_regression", singular)
+        result = run_sweep(*args, base_seed=3)
+        assert [(f.subset, f.method, f.error) for f in result.failures] == [
+            (("gender", "age"), "regression_poststrat", "LinAlgError: SVD did not converge")]
+        assert result.records == [r for r in clean.records if r.method == "nn_plain"]
 
     def test_meta_estimation_failure_only_hits_informed_methods(self):
         pops, biases, cfg = small_setup()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drureg.errors import ParameterError
 from drureg.losses import (
+    LossColumns,
     LossSpec,
     MetaInfo,
     dru_loss,
@@ -180,6 +181,18 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             LossSpec("absolute")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LossSpec("squared", meta=MetaInfo(gamma=2.0, direction=1)),
+         "loss kind 'squared' does not take meta"),
+        (lambda: LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1), pinball_p=0.5),
+         "loss kind 'dru' does not take pinball_p"),
+        (lambda: LossColumns.of([LossSpec("squared"), LossSpec("pinball", pinball_p=0.5)]),
+         r"stacked losses need one kind, got \['pinball', 'squared'\]"),
+    ], ids=["meta_on_squared", "pinball_p_on_dru", "mixed_kinds_in_one_stack"])
+    def test_parameter_the_kind_does_not_take_rejected(self, build, message):
+        with pytest.raises(ParameterError, match=message):
+            build()
 
     def test_meta_rejects_bad_values(self):
         with pytest.raises(ParameterError):

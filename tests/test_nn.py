@@ -13,7 +13,7 @@ from drureg.config import (
     train_config_from_config,
     validate_config,
 )
-from drureg.errors import ConfigError, NumericError, ShapeError
+from drureg.errors import ConfigError, NumericError, ParameterError, ShapeError
 from drureg.harness import run_sweep
 from drureg.losses import LossSpec, MetaInfo, loss_gradients, loss_value
 from drureg.nn import (
@@ -21,6 +21,7 @@ from drureg.nn import (
     Fit,
     LayerSpec,
     TrainConfig,
+    TrainedModel,
     TrainReport,
     _forward_cached,
     backward,
@@ -618,8 +619,6 @@ class TestSerialization:
         alpha = init_mlp(mlp_architecture(2, 4, output_activation="relu"), seed=7)
         spec = LossSpec("ru", meta=MetaInfo(gamma=1.8, direction=0))
         model, _ = train(h, alpha, X, y, spec, TrainConfig(max_epochs=2), seed=8)
-        from drureg.nn import TrainedModel
-
         restored = TrainedModel.from_json(model.to_json())
         assert np.array_equal(restored.predict(X), model.predict(X))
         assert np.array_equal(forward_batch(restored.alpha, X), forward_batch(model.alpha, X))
@@ -637,3 +636,41 @@ class TestOneHot:
     def test_rejects_out_of_range_levels(self):
         with pytest.raises(ShapeError):
             one_hot_encode(np.array([[3]]), (2,))
+
+
+def two_input_h():
+    return init_mlp(mlp_architecture(2, 4), seed=0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: LayerSpec(0, 4), ParameterError, "layer widths must be >= 1"),
+    (lambda: LayerSpec(2, 4, "tanh"), ParameterError, "unknown activation 'tanh'"),
+    (lambda: MLP((LayerSpec(2, 3), LayerSpec(4, 1)), (np.zeros((2, 3)), np.zeros((4, 1))),
+                 (np.zeros(3), np.zeros(1))),
+     ShapeError, "layer 0 output width does not chain into layer 1"),
+    (lambda: MLP((LayerSpec(2, 3),), (np.zeros((3, 2)),), (np.zeros(3),)),
+     ShapeError, r"weight matrix 0 has shape \(3, 2\)"),
+    (lambda: MLP((LayerSpec(2, 3),), (np.zeros((2, 3)),), (np.zeros(2),)),
+     ShapeError, r"bias vector 0 has shape \(2,\)"),
+    (lambda: TrainConfig(batch_size=0), ConfigError,
+     "max_epochs/patience must be >= 0 and batch_size >= 1"),
+    (lambda: TrainConfig(patience=-1), ConfigError,
+     "max_epochs/patience must be >= 0 and batch_size >= 1"),
+    (lambda: TrainedModel.from_json('{"format_version": 2}'), ConfigError,
+     "unsupported model format 2"),
+    (lambda: one_hot_encode(np.zeros((3, 2), dtype=int), (2,)), ShapeError,
+     r"expected \(n, 1\) level indices, got \(3, 2\)"),
+    (lambda: backward(two_input_h(), np.zeros((1, 2)), [np.nan]), NumericError,
+     "non-finite loss gradient"),
+    (lambda: train(two_input_h(), None, np.zeros(5), np.zeros(5), LossSpec("squared"),
+                   TrainConfig()),
+     ShapeError, r"features must be \(n, d\) aligned with targets \(n,\)"),
+    (lambda: train_stack([Fit(two_input_h(), None, np.zeros((3, 2)), np.zeros((4, 1), dtype=int),
+                              np.zeros(4), LossSpec("squared"), 0)], TrainConfig()),
+     ShapeError, "fit rows and targets must be aligned 1-D arrays"),
+], ids=["layer_width", "activation", "layer_chain", "weight_shape", "bias_shape",
+        "batch_size", "patience", "model_format", "one_hot_columns", "nan_loss_gradient",
+        "train_features", "fit_rows"])
+def test_invalid_argument_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -7,6 +7,7 @@ from drureg.losses import MetaInfo, dru_loss, ru_loss
 from drureg.poststrat import build_cell_table, poststratify
 from drureg.robustness import (
     DiscreteDistribution,
+    WorstCase,
     _greedy_fill,
     bernoulli_endpoint,
     cvar,
@@ -239,8 +240,8 @@ class TestBernoulliEndpoint:
                                                             "employment", "past_vote")])
     def test_saturated_cell_endpoints_remove_the_bias(self, saturated, subset):
         population, bias, samples = saturated
-        table = build_cell_table(population, subset)
         lookup, _ = cell_design(population.covariate_names, population.level_counts, subset)
+        table = build_cell_table(population, lookup)
 
         def b(sign):
             y_hat = []
@@ -260,6 +261,21 @@ class TestBernoulliEndpoint:
 
 
 class TestOracleEquivalence:
+    def test_solver_stop_short_of_optimal_raises(self, monkeypatch):
+        # a zero time limit stops HiGHS before it reaches an optimum
+        from scipy.optimize._highspy import _core
+
+        real_options = _core.HighsOptions
+
+        def no_time():
+            options = real_options()
+            options.time_limit = 0.0
+            return options
+
+        monkeypatch.setattr(_core, "HighsOptions", no_time)
+        with pytest.raises(RuntimeError, match="LP solver failed: "):
+            sup_oracle_lp(uniform_dist([0.0, 1.0, 2.0]), 2.0)
+
     def test_greedy_matches_lp_on_100_instances(self, rng):
         max_gap_ru = 0.0
         max_gap_dru = 0.0
@@ -416,3 +432,28 @@ class TestDualIdentities:
             expected = self.min_over_a(lambda a: dru_loss(0.0, a, y, meta), probs, squared)
             assert self.relative_gap(expected, sup) < 1e-12
         assert feasible > 400  # 474 of the 2,000 laws at the fixture seed
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DiscreteDistribution([1.0, 2.0], [1.0]),
+     "values and probs must be 1-D arrays of equal length"),
+    (lambda: DiscreteDistribution([], []), "distribution needs at least one point"),
+    (lambda: DiscreteDistribution([1.0, np.inf], [0.5, 0.5]), "distribution entries must be finite"),
+    (lambda: DiscreteDistribution([1.0, 2.0], [1.0, 0.0]), "probabilities must be strictly positive"),
+    (lambda: DiscreteDistribution([1.0, 2.0], [0.5, 0.6]), r"probabilities must sum to 1, got 1\.1"),
+    (lambda: WorstCase(np.array([3.0, 0.5]), 0.0).validate(uniform_dist([1.0, 2.0]), 2.0),
+     r"ratio outside \[gamma\*\*-1, gamma\]"),
+    (lambda: WorstCase(np.array([1.0, 2.0]), 0.0).validate(uniform_dist([1.0, 2.0]), 2.0),
+     "reweighted mass is 1.5, expected 1"),
+    (lambda: worst_case_dru(uniform_dist([1.0, 2.0]), [1, -1, 1], MetaInfo(2.0, 1)),
+     "signs must align with the loss points"),
+    (lambda: worst_case_dru(uniform_dist([1.0, 2.0]), [1, 0], MetaInfo(2.0, 1)),
+     "signs must be -1 or \\+1"),
+    (lambda: worst_case_dru(uniform_dist([1.0, 2.0]), [1, -1], MetaInfo(2.0, 0)),
+     "meta.direction must be -1 or \\+1"),
+], ids=["unequal_lengths", "no_points", "infinite_value", "zero_probability",
+        "probabilities_sum", "ratio_outside_box", "mass_not_one", "signs_length",
+        "sign_zero", "direction_zero"])
+def test_invalid_argument_rejected(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()

@@ -66,6 +66,28 @@ class TestPopulationSpec:
             default_population_spec(n_population=10, seed=0,
                                      base_shares=[share, 0.25, 0.15, 0.12, 0.08])
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: flat_spec(0.3, n=0), ConfigError, "n_population and n_targets must be >= 1"),
+        (lambda: flat_spec(0.3, n_targets=0), ConfigError,
+         "n_population and n_targets must be >= 1"),
+        (lambda: flat_spec(0.3, covariates=(("gender", 2), ("age", 0))), ConfigError,
+         "covariate 'age' needs at least one level"),
+        (lambda: default_population_spec(n_population=10, n_targets=6), ConfigError,
+         "need 6 base shares, got 5"),
+        (lambda: BiasSpec((2.0, 2.0), (1, 0), 10, seed=0), ParameterError,
+         r"d_true must be -1 or \+1, got \(1, 0\)"),
+        (lambda: BiasSpec((2.0, 2.0), (1,), 10, seed=0), ParameterError,
+         "gamma_true and d_true must have one entry per target"),
+        (lambda: BiasSpec((2.0,), (1,), 0, seed=0), ParameterError, "n_sample must be >= 1"),
+        (lambda: Dataset(np.zeros(2, dtype=np.int64), np.zeros((2, 1), dtype=bool),
+                         ("gender", "age"), (2,)),
+         SchemaError, "level count number does not match names"),
+    ], ids=["no_rows", "no_targets", "covariate_without_levels", "base_share_count",
+            "direction_zero", "direction_count", "no_sample_rows", "level_count_number"])
+    def test_invalid_spec_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_cell_means_match_the_per_cell_loop(self):
         # reference: each cell's means built on their own, looked up by the
         # cell's flat index; the arithmetic is the same, so equality is exact
