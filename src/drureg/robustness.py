@@ -12,6 +12,7 @@ direction. An independent LP solver cross-checks the greedy constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -137,6 +138,18 @@ def bernoulli_endpoint(mu, gamma: float, d: int) -> np.ndarray:
     return np.where(d < 0, 1.0 - top, top)
 
 
+def _raisable(signs, direction, n: int) -> np.ndarray:
+    """The one check of a directional constraint; the mask of the points on its side."""
+    signs = np.asarray(signs)
+    if signs.shape != (n,):
+        raise ParameterError("signs must align with the loss points")
+    if not ((signs == 1) | (signs == -1)).all():
+        raise ParameterError("signs must be -1 or +1")
+    if direction not in (-1, 1):
+        raise ParameterError(f"direction must be -1 or +1, got {direction}")
+    return signs == direction
+
+
 def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
     """Directional worst case: only points whose residual sign equals the
     announced direction may be upweighted above gamma**-1.
@@ -145,15 +158,24 @@ def worst_case_dru(losses: DiscreteDistribution, signs, meta) -> WorstCase:
     fraction that must carry ratio gamma for the reweighting to stay a
     distribution; the error names the missing mass.
     """
-    signs = np.asarray(signs)
-    if signs.shape != losses.values.shape:
-        raise ParameterError("signs must align with the loss points")
-    if not np.isin(signs, (-1, 1)).all():
-        raise ParameterError("signs must be -1 or +1")
-    if meta.direction not in (-1, 1):
-        raise ParameterError("meta.direction must be -1 or +1")
-    return _greedy_fill(losses.values, losses.probs, meta.gamma, signs == meta.direction,
-                        1.0 - 1.0 / meta.gamma)
+    raisable = _raisable(signs, meta.direction, losses.values.size)
+    return _greedy_fill(losses.values, losses.probs, meta.gamma, raisable, 1.0 - 1.0 / meta.gamma)
+
+
+@cache
+def _solver():
+    """One HiGHS instance per process, with the options `linprog(method="highs")` passes."""
+    # scipy.optimize is most of a cold start, and only this oracle uses it
+    from scipy.optimize._highspy import _core as highspy
+
+    options = highspy.HighsOptions()
+    # the LP has a single row, and HiGHS presolve costs about 3x the solve
+    options.presolve = "off"
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = highspy._Highs()
+    highs.passOptions(options)
+    return highs
 
 
 def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -> float:
@@ -164,37 +186,25 @@ def sup_oracle_lp(losses: DiscreteDistribution, gamma: float, constraint=None) -
     points off the constraint direction are pinned at their floor. Solved
     by HiGHS's dual simplex through scipy's binding, with the options
     `linprog(method="highs")` passes and so the same bits, but without its
-    per-column post-processing: about 1.2 ms per LP of up to 2,000 points
-    against linprog's 3.3 ms. The solver is independent of the greedy.
+    per-column post-processing or a new solver per LP: about 1.1 ms per LP
+    of up to 2,000 points against linprog's 4.0 ms (one BLAS thread, 2-core
+    VM). The solver is independent of the greedy.
     """
-    # scipy.optimize is most of a cold start, and only this oracle uses it
     from scipy.optimize._highspy import _core as highspy
 
     eta(gamma)
-    probs = losses.probs
-    lo = probs / gamma
-    hi = probs * gamma
+    n = losses.probs.size
+    lo, hi = losses.probs / gamma, losses.probs * gamma
     if constraint is not None:
-        mask_signs, direction = constraint
-        mask_signs = np.asarray(mask_signs)
-        hi = np.where(mask_signs == direction, hi, lo)
-    n = probs.size
-    lp = highspy.HighsLp()
-    lp.num_col_, lp.num_row_, lp.col_cost_ = n, 1, -losses.values
-    lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = lo, hi, [1.0], [1.0]
-    # the row sum(w) = 1 as a column-wise matrix of ones; the matrix takes
-    # lists far faster than arrays
-    a = lp.a_matrix_
-    a.num_col_, a.num_row_, a.format_ = n, 1, highspy.MatrixFormat.kColwise
-    a.start_, a.index_, a.value_ = list(range(n + 1)), [0] * n, [1.0] * n
-    options = highspy.HighsOptions()
-    # the LP has a single row, and HiGHS presolve costs about 3x the solve
-    options.presolve = "off"
-    options.output_flag = options.log_to_console = False
-    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    highs = highspy._Highs()
-    highs.passOptions(options)
-    highs.passModel(lp)
+        hi = np.where(_raisable(*constraint, n), hi, lo)
+    highs = _solver()
+    # the row sum(w) = 1 as a column-wise matrix of ones; integrality 0 is continuous
+    one, zeros = np.ones(1), np.zeros(n, dtype=np.int32)
+    status = highs.passModel(n, 1, n, highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize,
+                             0.0, -losses.values, lo, hi, one, one,
+                             np.arange(n + 1, dtype=np.int32), zeros, np.ones(n), zeros)
+    if status != highspy.HighsStatus.kOk:  # run() would solve the previous model
+        raise RuntimeError(f"LP solver rejected the model: {status.name}")
     highs.run()
     status = highs.getModelStatus()
     if status in (highspy.HighsModelStatus.kInfeasible, highspy.HighsModelStatus.kModelError):

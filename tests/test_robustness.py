@@ -261,20 +261,58 @@ class TestBernoulliEndpoint:
 
 
 class TestOracleEquivalence:
-    def test_solver_stop_short_of_optimal_raises(self, monkeypatch):
-        # a zero time limit stops HiGHS before it reaches an optimum
-        from scipy.optimize._highspy import _core
+    def test_solver_stop_short_of_optimal_raises(self):
+        # a zero time limit stops the shared HiGHS solver before it reaches an
+        # optimum; the next LP on it must still give linprog's bits
+        from drureg.robustness import _solver
 
-        real_options = _core.HighsOptions
+        dist = uniform_dist([0.0, 1.0, 2.0])
+        highs = _solver()
+        time_limit = highs.getOptions().time_limit
+        highs.setOptionValue("time_limit", 0.0)
+        try:
+            with pytest.raises(RuntimeError, match="LP solver failed: Time limit reached"):
+                sup_oracle_lp(dist, 2.0)
+        finally:
+            highs.setOptionValue("time_limit", time_limit)
+        assert highs.getOptions().time_limit == time_limit
+        assert sup_oracle_lp(dist, 2.0) == linprog_sup(dist, 2.0)
 
-        def no_time():
-            options = real_options()
-            options.time_limit = 0.0
-            return options
+    def test_no_state_carries_between_lps(self, rng):
+        # every LP runs on one solver, so each must give linprog's bits
+        # whatever that solver solved before it
+        def random_dist(k):
+            probs = rng.random(k) + 0.05
+            return DiscreteDistribution(values=rng.uniform(-10.0, 10.0, k), probs=probs / probs.sum())
 
-        monkeypatch.setattr(_core, "HighsOptions", no_time)
-        with pytest.raises(RuntimeError, match="LP solver failed: "):
-            sup_oracle_lp(uniform_dist([0.0, 1.0, 2.0]), 2.0)
+        large = random_dist(2000)
+        short = DiscreteDistribution(values=np.array([4.0, 3.0, 2.0, 1.0]),
+                                     probs=np.array([0.05, 0.4, 0.4, 0.15]))
+        cases = [(large, 2.5, None), (large, 2.5, (rng.choice((-1, 1), size=2000), 1)),
+                 (random_dist(1), 3.0, None), (random_dist(2), 1.7, (np.array([1, -1]), -1)),
+                 (random_dist(3), 2.0, None), (random_dist(3), 1.0, None),
+                 (random_dist(3), 1.0, (np.array([1, 1, -1]), 1)),
+                 (short, 2.0, (np.array([1, -1, -1, -1]), 1)),
+                 (short, 2.0, (np.array([1, 1, -1, -1]), 1)), (large, 2.5, None)]
+        results = []
+        for dist, gamma, constraint in cases:
+            try:
+                results.append(sup_oracle_lp(dist, gamma, constraint=constraint))
+            except InfeasibleError:
+                results.append("infeasible")
+            assert results[-1] == linprog_sup(dist, gamma, constraint), (dist.probs.size, gamma)
+        assert results[7] == "infeasible" and results[8] != "infeasible"
+        assert results[-1] == results[0]
+
+    def test_rejected_model_raises(self):
+        # HiGHS refuses a NaN bound but would rerun the model it last accepted
+        dist = uniform_dist([0.0, 1.0, 2.0])
+        assert sup_oracle_lp(dist, 2.0) == linprog_sup(dist, 2.0)
+        nan_dist = uniform_dist([0.0, 1.0, 2.0])
+        object.__setattr__(nan_dist, "probs", np.array([np.nan, 0.5, 0.5]))
+        with pytest.raises(RuntimeError, match="LP solver rejected the model: kError"):
+            sup_oracle_lp(nan_dist, 2.0)
+        assert sup_oracle_lp(dist, 2.0) == linprog_sup(dist, 2.0)
 
     def test_greedy_matches_lp_on_100_instances(self, rng):
         max_gap_ru = 0.0
@@ -329,6 +367,21 @@ class TestOracleEquivalence:
                 assert binding(dist, gamma, constraint) == expected, (k, gamma, constraint)
                 n_infeasible += expected == "infeasible"
         assert 0 < n_infeasible < len(sizes)
+
+
+def linprog_sup(dist, gamma, constraint=None):
+    """sup_oracle_lp's LP solved through linprog(method="highs"), or "infeasible"."""
+    from scipy.optimize import linprog
+
+    lo, hi = dist.probs / gamma, dist.probs * gamma
+    if constraint is not None:
+        hi = np.where(constraint[0] == constraint[1], hi, lo)
+    res = linprog(-dist.values, A_eq=np.ones((1, dist.probs.size)), b_eq=[1.0],
+                  bounds=np.column_stack((lo, hi)), method="highs", options={"presolve": False})
+    if res.status == 2:
+        return "infeasible"
+    assert res.success, res.message
+    return -res.fun
 
 
 def loop_greedy_ratios(values, probs, gamma, raisable):
@@ -450,10 +503,19 @@ class TestDualIdentities:
     (lambda: worst_case_dru(uniform_dist([1.0, 2.0]), [1, 0], MetaInfo(2.0, 1)),
      "signs must be -1 or \\+1"),
     (lambda: worst_case_dru(uniform_dist([1.0, 2.0]), [1, -1], MetaInfo(2.0, 0)),
-     "meta.direction must be -1 or \\+1"),
+     "direction must be -1 or \\+1, got 0"),
+    (lambda: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), 2.0, constraint=([1], 1)),
+     "signs must align with the loss points"),
+    (lambda: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), 2.0, constraint=([1, -1], 1)),
+     "signs must align with the loss points"),
+    (lambda: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), 2.0, constraint=([1, 0, 1], 1)),
+     "signs must be -1 or \\+1"),
+    (lambda: sup_oracle_lp(uniform_dist([1.0, 2.0, 3.0]), 2.0, constraint=([1, -1, 1], 0)),
+     "direction must be -1 or \\+1, got 0"),
 ], ids=["unequal_lengths", "no_points", "infinite_value", "zero_probability",
         "probabilities_sum", "ratio_outside_box", "mass_not_one", "signs_length",
-        "sign_zero", "direction_zero"])
+        "sign_zero", "direction_zero", "lp_signs_length_one", "lp_signs_length_two",
+        "lp_sign_zero", "lp_direction_zero"])
 def test_invalid_argument_rejected(build, message):
     with pytest.raises(ParameterError, match=message):
         build()
