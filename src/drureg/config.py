@@ -85,7 +85,8 @@ _SCALAR_TYPES = _scalar_types()
 
 # Smallest accepted value of numeric keys below which runs would fail; a
 # seed from a flag or DRUREG_SEED is checked here too.
-_MINIMUMS = {("seed",): 0, ("oracle", "max_points"): 2}
+_MINIMUMS = {("seed",): 0, ("oracle", "max_points"): 2, ("oracle", "n_instances"): 1,
+             ("sweep", "n_replicates"): 1}
 
 
 def _has_type(value, types) -> bool:

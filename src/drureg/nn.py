@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -291,11 +291,17 @@ def split_sizes(n: int, cfg: TrainConfig) -> tuple[int, int]:
     return n_val, n - n_val
 
 
+def _widths(net: MLP) -> tuple:
+    return tuple((spec.input_width, spec.output_width) for spec in net.layers)
+
+
 @dataclass(frozen=True, eq=False)
 class Fit:
     """One network pair for `train_stack`: h, and alpha when the loss needs
     it, trained on the rows `rows` (n,) of its own feature `table` with
-    targets (n,), split and shuffled by the stream of `seed`."""
+    targets (n,), split and shuffled by the stream of `seed`. It checks
+    itself when made, and holds its table and targets as floats and its
+    rows as an array; a float64 table stays the same object."""
 
     h: MLP
     alpha: MLP | None
@@ -305,9 +311,28 @@ class Fit:
     loss: LossSpec
     seed: int
 
-
-def _widths(net: MLP) -> tuple:
-    return tuple((spec.input_width, spec.output_width) for spec in net.layers)
+    def __post_init__(self) -> None:
+        table, rows = np.asarray(self.table, dtype=float), np.asarray(self.rows)
+        if table.ndim != 2:
+            raise ShapeError(f"feature tables must be 2-D, got shape {table.shape}")
+        if rows.ndim != 1 or np.shape(self.targets) != rows.shape:
+            raise ShapeError("fit rows and targets must be aligned 1-D arrays")
+        if not np.issubdtype(rows.dtype, np.integer) or ((rows < 0) | (rows >= len(table))).any():
+            raise ShapeError(f"fit rows must be integer indices into the table's "
+                             f"{len(table)} rows")
+        if self.loss.needs_alpha and self.alpha is None:
+            raise ConfigError(f"loss kind {self.loss.kind!r} requires an alpha network")
+        if not self.loss.needs_alpha and self.alpha is not None:
+            raise ConfigError(f"loss kind {self.loss.kind!r} does not take an alpha network")
+        if (self.h.input_width, self.h.output_width) != (table.shape[1], 1):
+            raise ShapeError(f"h network maps {self.h.input_width} -> {self.h.output_width} "
+                             f"widths; expected {table.shape[1]} features -> 1 output")
+        if self.alpha is not None and _widths(self.alpha) != _widths(self.h):
+            raise ShapeError(f"alpha network has layer widths {_widths(self.alpha)}; "
+                             f"expected h's {_widths(self.h)}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
 
 
 class _Family:
@@ -318,8 +343,7 @@ class _Family:
     reads) per run of consecutive networks that read one table, `reads`
     their fits' rows: a slice (one fit's rows broadcast over its networks)
     or an index array. Each run of fits of one loss kind is a segment
-    (fits, LossColumns, h slice, alpha slice or None); `pieces` orders the
-    segments' dLoss/dz, then their dLoss/da, as the networks."""
+    (fits, LossColumns, h slice, alpha slice or None)."""
 
     def __init__(self, first: int, fits: list[Fit], members: list[int]) -> None:
         self.members = members
@@ -344,8 +368,6 @@ class _Family:
             alpha = slice(m + h.start, m + h.stop) if run[0] in self.alphas else None
             loss = LossColumns.of([fits[j].loss for j in run])
             self.segments.append((slice(run[0], run[-1] + 1), loss, h, alpha))
-        self.pieces = [(s, 1) for s in range(len(self.segments))]
-        self.pieces += [(s, 2) for s, segment in enumerate(self.segments) if segment[3] is not None]
 
 
 class _Lockstep:
@@ -459,7 +481,7 @@ class _Lockstep:
         out, inputs, preacts = _forward_cached(fam, xs, z, training)
         parts = [loss_terms(loss, out[h, :, 0], None if alpha is None else out[alpha, :, 0],
                             y[fits]) for fits, loss, h, alpha in fam.segments]
-        pieces = [parts[s][c] for s, c in fam.pieces]
+        pieces = [dz for _, dz, _ in parts] + [da for _, _, da in parts if da is not None]
         return inputs, preacts, parts, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _epoch(self) -> np.ndarray:
@@ -540,47 +562,24 @@ def train_stack(fits, cfg: TrainConfig) -> list:
 
     Each fit trains exactly as `train` would train it alone, bit for bit:
     the stack is one `_Lockstep` group, whatever its fits' tables, widths
-    and loss kinds, so every fit must have the same row count, which
-    `split_sizes` checks once. alpha must have h's layer widths. Every fit
-    keeps its own loss, random stream, early stopping and best-epoch
-    snapshot, and leaves the group when it stops.
+    and loss kinds, so every fit must have the same row count, the one
+    check made here (a `Fit` checks itself when made). Every fit keeps its
+    own loss, random stream, early stopping and best-epoch snapshot, and
+    leaves the group when it stops.
 
     Returns, per fit in order, (TrainedModel, TrainReport) or the
     NumericError that stopped it; the other fits carry on.
     """
-    tables: dict = {}  # id of a fit's table -> that table as floats
-    stack: list[Fit] = []
-    for fit in fits:
-        table = tables.setdefault(id(fit.table), np.asarray(fit.table, dtype=float))
-        if table.ndim != 2:
-            raise ShapeError(f"feature tables must be 2-D, got shape {table.shape}")
-        n = np.shape(fit.rows)[0] if np.ndim(fit.rows) == 1 else -1
-        if n < 0 or np.shape(fit.targets) != (n,):
-            raise ShapeError("fit rows and targets must be aligned 1-D arrays")
-        if stack and n != len(stack[0].rows):
+    fits = list(fits)
+    for fit in fits[1:]:
+        if len(fit.rows) != len(fits[0].rows):
             raise ShapeError(f"the fits of a stack must share one row count, "
-                             f"got {len(stack[0].rows)} and {n}")
-        rows = np.asarray(fit.rows)
-        if not np.issubdtype(rows.dtype, np.integer) or ((rows < 0) | (rows >= len(table))).any():
-            raise ShapeError(f"fit rows must be integer indices into the table's "
-                             f"{len(table)} rows")
-        if fit.loss.needs_alpha and fit.alpha is None:
-            raise ConfigError(f"loss kind {fit.loss.kind!r} requires an alpha network")
-        if not fit.loss.needs_alpha and fit.alpha is not None:
-            raise ConfigError(f"loss kind {fit.loss.kind!r} does not take an alpha network")
-        if (fit.h.input_width, fit.h.output_width) != (table.shape[1], 1):
-            raise ShapeError(f"h network maps {fit.h.input_width} -> {fit.h.output_width} "
-                             f"widths; expected {table.shape[1]} features -> 1 output")
-        if fit.alpha is not None and _widths(fit.alpha) != _widths(fit.h):
-            raise ShapeError(f"alpha network has layer widths {_widths(fit.alpha)}; "
-                             f"expected h's {_widths(fit.h)}")
-        stack.append(replace(fit, table=table, rows=rows,
-                             targets=np.asarray(fit.targets, dtype=float)))
-    if not stack:
+                             f"got {len(fits[0].rows)} and {len(fit.rows)}")
+    if not fits:
         return []
     # a diverging fit overflows; it leaves the group with a NumericError
     with np.errstate(over="ignore", invalid="ignore"):
-        return _Lockstep(stack, cfg).run()
+        return _Lockstep(fits, cfg).run()
 
 
 def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray, loss: LossSpec,
@@ -595,11 +594,7 @@ def train(h: MLP, alpha: MLP | None, features: np.ndarray, targets: np.ndarray, 
     best-validation epoch. An epoch whose training loss is not finite raises
     NumericError. This is the one-fit case of `train_stack`.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if features.ndim != 2 or features.shape[0] != targets.shape[0]:
-        raise ShapeError("features must be (n, d) aligned with targets (n,)")
-    fit = Fit(h, alpha, features, np.arange(features.shape[0]), targets, loss, seed)
+    fit = Fit(h, alpha, features, np.arange(len(np.atleast_1d(features))), targets, loss, seed)
     (outcome,) = train_stack([fit], cfg)
     if isinstance(outcome, Exception):
         raise outcome

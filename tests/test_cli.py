@@ -283,6 +283,10 @@ class TestOracle:
 class TestConfigBounds:
     @pytest.mark.parametrize("command, section, key, value, message", [
         ("oracle", "oracle", "max_points", 1, "oracle.max_points"),
+        ("oracle", "oracle", "n_instances", 0, "oracle.n_instances must be >= 1, got 0"),
+        ("oracle", "oracle", "n_instances", -5, "oracle.n_instances must be >= 1, got -5"),
+        ("sweep", "sweep", "n_replicates", 0, "sweep.n_replicates must be >= 1, got 0"),
+        ("sweep", "sweep", "n_replicates", -2, "sweep.n_replicates must be >= 1, got -2"),
         ("sweep", "sweep", "hidden_width", 0, "sweep.hidden_width"),
         ("sweep", "sweep", "meta_min_cell_rows", 0, "sweep.meta_min_cell_rows"),
         ("sweep", "sweep", "prev_sample_size", 0, "sweep.prev_sample_size"),

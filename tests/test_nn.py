@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -530,10 +531,10 @@ class TestTrainStack:
 
         monkeypatch.setattr(nn, "_Lockstep", no_training)
         h = init_mlp(mlp_architecture(7, 4), seed=0)
-        good, bad = (Fit(h, None, self.table[:3], r, np.zeros(40), LossSpec("squared"), seed=0)
-                     for r in (np.zeros(40, dtype=int), rows))
+        # a Fit checks its rows when it is made
         with pytest.raises(ShapeError, match="integer indices into the table's 3 rows"):
-            train_stack([good, bad], TrainConfig(max_epochs=1))
+            train_stack([Fit(h, None, self.table[:3], r, np.zeros(40), LossSpec("squared"), seed=0)
+                         for r in (np.zeros(40, dtype=int), rows)], TrainConfig(max_epochs=1))
 
     def test_fits_of_two_row_counts_rejected_before_training(self, rng, monkeypatch):
         def no_training(*args):
@@ -551,11 +552,27 @@ class TestTrainStack:
 
         monkeypatch.setattr(nn, "_Lockstep", no_training)
         h = init_mlp(mlp_architecture(7, 4), seed=0)
-        good, bad = (Fit(h, None, t, np.zeros(40, dtype=int), np.zeros(40), LossSpec("squared"), 0)
-                     for t in (self.table, table))
+        # a Fit checks its table when it is made
         with pytest.raises(ShapeError, match=rf"feature tables must be 2-D, got shape "
                                              rf"\({table.shape[0]},"):
-            train_stack([good, bad, bad], TrainConfig(max_epochs=1))
+            train_stack([Fit(h, None, t, np.zeros(40, dtype=int), np.zeros(40),
+                             LossSpec("squared"), 0) for t in (self.table, table, table)],
+                        TrainConfig(max_epochs=1))
+
+    def test_stack_trains_the_callers_own_fits(self, rng, monkeypatch):
+        # checked when they were made, the fits go to the group as they are
+        received = []
+
+        class Capturing(nn._Lockstep):
+            def __init__(self, fits, cfg):
+                received.extend(fits)
+                super().__init__(fits, cfg)
+
+        monkeypatch.setattr(nn, "_Lockstep", Capturing)
+        fits = [self.make_fit(rng, loss, width) for loss, width in STACK_LOSSES]
+        train_stack(fits, TrainConfig(max_epochs=1))
+        assert len(received) == len(fits)
+        assert all(received[i] is fits[i] for i in range(len(fits)))
 
     def test_desk_replicate_trains_as_one_group(self, monkeypatch):
         # the default methods plan, per covariate subset, 20 dRU and 5
@@ -580,6 +597,48 @@ class TestTrainStack:
                            sweep_config_from_config(resolved), base_seed=1)
         assert not result.failures and len(result.records) == 2 * 7 * 5
         assert groups == [[(("dru", 4), 40), (("pinball", 8), 10), (("squared", 4), 10)]]
+
+
+class TestFit:
+    """A Fit checks itself when it is made, before any stack trains it."""
+
+    table = TestTrainStack.table  # 12 rows, 7 columns
+    dru = LossSpec("dru", meta=MetaInfo(gamma=2.0, direction=1))
+
+    def fields(self, **changes):
+        return {"h": init_mlp(mlp_architecture(7, 4), seed=0), "alpha": None, "table": self.table,
+                "rows": np.arange(40) % 12, "targets": np.zeros(40), "loss": LossSpec("squared"),
+                "seed": 0, **changes}
+
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"table": np.zeros(7)}, ShapeError, "feature tables must be 2-D, got shape (7,)"),
+        ({"targets": np.zeros(39)}, ShapeError, "fit rows and targets must be aligned 1-D arrays"),
+        ({"rows": np.full(40, 1.0)}, ShapeError,
+         "fit rows must be integer indices into the table's 12 rows"),
+        ({"rows": np.full(40, 12)}, ShapeError,
+         "fit rows must be integer indices into the table's 12 rows"),
+        ({"loss": dru}, ConfigError, "loss kind 'dru' requires an alpha network"),
+        ({"alpha": init_mlp(mlp_architecture(7, 4, output_activation="relu"), seed=1)},
+         ConfigError, "loss kind 'squared' does not take an alpha network"),
+        ({"h": init_mlp(mlp_architecture(8, 4), seed=0)}, ShapeError,
+         "h network maps 8 -> 1 widths; expected 7 features -> 1 output"),
+        ({"loss": dru, "alpha": init_mlp(mlp_architecture(7, 8, output_activation="relu"), seed=1)},
+         ShapeError, "alpha network has layer widths ((7, 8), (8, 8), (8, 1)); "
+                     "expected h's ((7, 4), (4, 4), (4, 1))"),
+    ], ids=["table_1d", "misaligned_targets", "float_row", "row_past_the_table",
+            "dru_without_alpha", "squared_with_alpha", "h_input_width", "alpha_widths"])
+    def test_bad_fit_rejected_when_made(self, changes, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Fit(**self.fields(**changes))
+
+    def test_float_table_kept_and_others_converted(self):
+        # a float64 table is the caller's own object; lists become arrays
+        fit = Fit(**self.fields(rows=[0] * 40, targets=[1] * 40))
+        assert fit.table is self.table
+        assert isinstance(fit.rows, np.ndarray) and fit.rows.dtype.kind == "i"
+        assert fit.targets.dtype == np.float64
+        ints = Fit(**self.fields(table=self.table.astype(int)))
+        assert ints.table.dtype == np.float64 and np.array_equal(ints.table, self.table)
 
 
 class TestSplitSizes:
@@ -664,13 +723,15 @@ def two_input_h():
      "non-finite loss gradient"),
     (lambda: train(two_input_h(), None, np.zeros(5), np.zeros(5), LossSpec("squared"),
                    TrainConfig()),
-     ShapeError, r"features must be \(n, d\) aligned with targets \(n,\)"),
+     ShapeError, r"feature tables must be 2-D, got shape \(5,\)"),
+    (lambda: train(two_input_h(), None, 5.0, np.zeros(1), LossSpec("squared"), TrainConfig()),
+     ShapeError, r"feature tables must be 2-D, got shape \(\)"),
     (lambda: train_stack([Fit(two_input_h(), None, np.zeros((3, 2)), np.zeros((4, 1), dtype=int),
                               np.zeros(4), LossSpec("squared"), 0)], TrainConfig()),
      ShapeError, "fit rows and targets must be aligned 1-D arrays"),
 ], ids=["layer_width", "activation", "layer_chain", "weight_shape", "bias_shape",
         "batch_size", "patience", "model_format", "one_hot_columns", "nan_loss_gradient",
-        "train_features", "fit_rows"])
+        "train_features", "train_scalar_features", "fit_rows"])
 def test_invalid_argument_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()
